@@ -7,21 +7,21 @@ P-recurrences.
 from .bfile import BFileEntry, BFileFormatError, parse_bfile_lines, read_bfile
 from .exact import (
     InexactDivisionError,
-    RationalPoly,
     compositions,
     exact_div,
     factorial,
     multinomial,
     phi,
+    poly_mul,
 )
 from .formulas import (
     a1,
     a2_inclusion_exclusion,
     a3_inclusion_exclusion,
     a4_inclusion_exclusion,
-    a4_phi,
-    a4_phi_range,
     phi_base,
+    phi_count,
+    phi_count_range,
     upper_bound,
 )
 from .recurrences import (
@@ -36,7 +36,6 @@ from .recurrences import (
     a3_prime_fourterm_range,
     a4_prime_coupled,
     a4_prime_coupled_range,
-    a_from_ordered,
 )
 from .words import (
     MultiplicityVector,
@@ -56,7 +55,6 @@ __all__ = [
     "CoupledState4",
     "InexactDivisionError",
     "MultiplicityVector",
-    "RationalPoly",
     "SelfCheckError",
     "SizeLimitError",
     "a1",
@@ -69,11 +67,8 @@ __all__ = [
     "a3_prime_fourterm",
     "a3_prime_fourterm_range",
     "a4_inclusion_exclusion",
-    "a4_phi",
-    "a4_phi_range",
     "a4_prime_coupled",
     "a4_prime_coupled_range",
-    "a_from_ordered",
     "compositions",
     "count_carlitz_by_filter",
     "count_carlitz_total",
@@ -87,6 +82,9 @@ __all__ = [
     "parse_bfile_lines",
     "phi",
     "phi_base",
+    "phi_count",
+    "phi_count_range",
+    "poly_mul",
     "read_bfile",
     "upper_bound",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -42,20 +41,6 @@ def _check_method(k: int, ordered: bool, method: str) -> None:
         raise ValueError(f"incl-excl supports k=1..4 only, not k={k}")
     if method == "phi" and (k != 4 or ordered):
         raise ValueError("phi supports only k=4 unordered counts")
-
-
-@dataclass(frozen=True)
-class SequenceRecord:
-    """One computed value with its provenance."""
-
-    k: int
-    n: int
-    value: int
-    ordered: bool
-    method: str
-
-    def __post_init__(self):
-        _check_method(self.k, self.ordered, self.method)
 
 
 def _auto_method(k: int) -> str:
@@ -84,15 +69,15 @@ def _compute_one(k: int, n: int, ordered: bool, method: str, limit: int) -> int:
             return words.count_ordered_carlitz(mv, limit=limit)
         return words.count_carlitz_total(mv, limit=limit)
     if method == "recurrence":
-        if not ordered:
-            return recurrences.a_from_ordered(k, n)
         if k == 2:
-            return recurrences.a2_prime_rec(n)
-        if k == 3:
-            return recurrences.a3_prime_coupled(n).p
-        return recurrences.a4_prime_coupled(n).p
+            prime = recurrences.a2_prime_rec(n)
+        elif k == 3:
+            prime = recurrences.a3_prime_coupled(n).p
+        else:
+            prime = recurrences.a4_prime_coupled(n).p
+        return prime if ordered else factorial(n) * prime
     if method == "phi":
-        return formulas.a4_phi(n)
+        return formulas.phi_count((k,) * n)
     total = _incl_excl_total(k, n)
     return exact_div(total, factorial(n)) if ordered else total
 
@@ -112,7 +97,7 @@ def _compute_range(
             return primes
         return [factorial(n) * p for n, p in enumerate(primes)]
     if method == "phi":
-        return formulas.a4_phi_range(n_max)
+        return formulas.phi_count_range(k, n_max)
     return [_compute_one(k, n, ordered, method, limit) for n in range(n_max + 1)]
 
 
@@ -132,6 +117,10 @@ def main():
     """Count Carlitz words (no two adjacent symbols equal) over k copies
     each of n symbols, by brute force, inclusion-exclusion, factorial
     substitution, or recurrence, with exact arithmetic throughout."""
+    # Counts outgrow the interpreter's default int/str conversion limit
+    # (4300 digits); every value must still print and parse in full.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @main.command()
@@ -163,16 +152,15 @@ def count(k: int, n: int, ordered: bool, method: str, trace: bool, limit: int):
     except SizeLimitError as exc:
         click.echo(f"refused: {exc}", err=True)
         sys.exit(3)
-    record = SequenceRecord(k, n, value, ordered, method)
     if trace:
         for term in _term_stream(k, n):
             pattern = " ".join(
                 f"{_TERM_LETTERS[i]}={c}" for i, c in enumerate(term.composition)
             )
             click.echo(f"{pattern}  {term.value:+d}")
-        click.echo(f"total {record.value}")
+        click.echo(f"total {value}")
     else:
-        click.echo(str(record.value))
+        click.echo(str(value))
 
 
 @main.command()

@@ -1,19 +1,18 @@
 """Exact arithmetic building blocks: cached factorials, multinomials,
-weak compositions, and dense rational polynomials with the factorial
+weak compositions, and dense integer polynomials with the factorial
 substitution t^m -> m!.
 
 Everything here is mathematically exact.  Integers are Python ints
-(arbitrary precision), rationals are fractions.Fraction (always in
-lowest terms with positive denominator), and every division that the
-mathematics promises to be exact is checked: a nonzero remainder raises
-InexactDivisionError instead of silently truncating.
+(arbitrary precision), polynomials are lists of them, and every
+division that the mathematics promises to be exact is checked: a
+nonzero remainder raises InexactDivisionError instead of silently
+truncating.
 """
 
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 class InexactDivisionError(ArithmeticError):
@@ -83,91 +82,26 @@ def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
             yield rest + (last,)
 
 
-class RationalPoly:
-    """Dense univariate polynomial with Fraction coefficients.
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer polynomials as dense coefficient lists.
 
-    coefficients[i] is the coefficient of t**i; trailing zeros are
-    stripped so the zero polynomial has an empty coefficient tuple.
-    Instances are immutable and hashable.
+    a[i] is the coefficient of t**i.  Integers have no zero divisors, so
+    nonzero leading coefficients stay nonzero and no stripping is needed.
     """
-
-    __slots__ = ("coefficients",)
-
-    coefficients: tuple[Fraction, ...]
-
-    def __init__(self, coefficients: Iterable[Fraction | int] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        """Degree, or -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coefficients)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalPoly):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
-
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPoly(out)
-
-    def __mul__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coefficients, other.coefficients
-        if not a or not b:
-            return RationalPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return RationalPoly(out)
-
-    def __pow__(self, e: int) -> "RationalPoly":
-        if e < 0:
-            raise ValueError(f"exponent must be nonnegative, got {e}")
-        result = RationalPoly([1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __repr__(self) -> str:
-        if not self.coefficients:
-            return "RationalPoly(0)"
-        parts = [f"({c})*t^{m}" for m, c in enumerate(self.coefficients) if c]
-        return "RationalPoly(" + " + ".join(parts) + ")"
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def phi(p: RationalPoly) -> Fraction:
+def phi(p: Sequence[int]) -> int:
     """Factorial substitution: replace every t**m by m! and sum.
 
-    Linear in p.  Callers expecting an integer must check that the
-    returned Fraction has denominator 1.
+    Linear in p.  On an integer polynomial the value is an integer; the
+    caller divides out whatever scaling made the coefficients integral.
     """
-    total = Fraction(0)
-    for m, c in enumerate(p.coefficients):
-        if c:
-            total += c * factorial(m)
-    return total
+    return sum(c * factorial(m) for m, c in enumerate(p) if c)

@@ -4,9 +4,13 @@ Inclusion-exclusion sums for k = 2, 3, 4 over blocking patterns of each
 symbol's copies: a composition (s, t, ...) records how many symbols have
 their copies fully separated, glued into specific block shapes, and so
 on; each pattern contributes a signed multinomial times a factorial of
-the reduced word length divided by symmetry factors.  For k = 4 there is
-additionally an independent route through the factorial substitution
-phi: a_4(n) = phi(base**n) for a fixed quartic base polynomial.
+the reduced word length divided by symmetry factors.
+
+Independently, the factorial substitution phi (t^j -> j!) counts the
+Carlitz words over any multiset (m_1, ..., m_r) as phi(prod L_{m_i}(t)).
+Each factor is scaled by m_i! to integer coefficients, so the whole
+route is integer polynomial products and one checked division by
+prod m_i!.
 
 Every division the identities promise to be exact is checked via
 exact_div and raises InexactDivisionError on any remainder; a failure
@@ -16,18 +20,9 @@ away.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .exact import (
-    InexactDivisionError,
-    RationalPoly,
-    compositions,
-    exact_div,
-    factorial,
-    multinomial,
-    phi,
-)
+from .exact import compositions, exact_div, factorial, multinomial, phi, poly_mul
 
 
 class Term(NamedTuple):
@@ -138,57 +133,51 @@ def a4_inclusion_exclusion(n: int) -> int:
     return total
 
 
-def phi_base(k: int) -> RationalPoly:
-    """Base polynomial whose n-th power phi-evaluates to a_k(n).
+def phi_base(k: int) -> list[int]:
+    """Coefficients of k! * L_k(t), all integers.
 
-    sum over j = 1..k of (-1)^(k-j) * C(k-1, j-1) * t^j / j!.  For k = 1
-    this is t; for k = 3 it is t^3/6 - t^2 + t; for k = 4 it is
-    t^4/24 - t^3/2 + 3t^2/2 - t.
+    L_k(t) = sum over j = 1..k of (-1)^(k-j) * C(k-1, j-1) * t^j / j! is
+    the factor one symbol with k copies contributes.  The scaled base is
+    [0, 1] for k = 1, [0, 6, -6, 1] for k = 3, [0, -24, 36, -12, 1] for
+    k = 4.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    coeffs = [Fraction(0)] * (k + 1)
+    coeffs = [0] * (k + 1)
     for j in range(1, k + 1):
-        c = Fraction(multinomial(k - 1, (j - 1, k - j)), factorial(j))
+        c = multinomial(k - 1, (j - 1, k - j)) * exact_div(factorial(k), factorial(j))
         coeffs[j] = -c if (k - j) & 1 else c
-    return RationalPoly(coeffs)
+    return coeffs
 
 
-# Base for the phi route of a_4.  Module-level so tests can inject a
-# corrupted coefficient and watch the integrality check trip.
-_PHI_BASE_K4 = phi_base(4)
+def phi_count(mults: Iterable[int]) -> int:
+    """Carlitz words over the multiset with these multiplicities.
+
+    phi(prod of phi_base(m)) / prod of m!, with one checked division: a
+    remainder means a base coefficient is wrong.
+    """
+    poly, scale = [1], 1
+    for m in mults:
+        poly = poly_mul(phi_base(m), poly)
+        scale *= factorial(m)
+    return exact_div(phi(poly), scale)
 
 
-def _phi_int(p: RationalPoly, n: int) -> int:
-    value = phi(p)
-    if value.denominator != 1:
-        raise InexactDivisionError(
-            f"phi value {value} for n={n} is not an integer; "
-            "the base polynomial is wrong"
-        )
-    return value.numerator
+def phi_count_range(k: int, n_max: int) -> list[int]:
+    """[a_k(0), ..., a_k(n_max)] by the phi route.
 
-
-def a4_phi(n: int) -> int:
-    """a_4(n) by factorial substitution: phi(base**n), checked integral."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return _phi_int(_PHI_BASE_K4**n, n)
-
-
-def a4_phi_range(n_max: int) -> list[int]:
-    """[a_4(0), ..., a_4(n_max)] by the phi route.
-
-    One polynomial multiply per step instead of an independent power,
+    One polynomial multiply per step instead of an independent product,
     so a whole table costs barely more than its last entry.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    acc = RationalPoly([1])
-    out = [_phi_int(acc, 0)]
-    for n in range(1, n_max + 1):
-        acc = acc * _PHI_BASE_K4
-        out.append(_phi_int(acc, n))
+    base = phi_base(k)
+    poly, scale = [1], 1
+    out = [1]
+    for _ in range(n_max):
+        poly = poly_mul(base, poly)
+        scale *= factorial(k)
+        out.append(exact_div(phi(poly), scale))
     return out
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from .exact import InexactDivisionError, exact_div, factorial
+from .exact import InexactDivisionError, exact_div
 from .words import MultiplicityVector, count_ordered_carlitz
 
 
@@ -282,18 +282,3 @@ def a4_prime_coupled_range(n_max: int) -> list[CoupledState4]:
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     return list(islice(_iter_coupled4(), n_max + 1))
-
-
-def a_from_ordered(k: int, n: int) -> int:
-    """a_k(n) = n! * a'_k(n), with a'_k(n) from the fastest recurrence."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if k == 2:
-        prime = a2_prime_rec(n)
-    elif k == 3:
-        prime = a3_prime_coupled(n).p
-    elif k == 4:
-        prime = a4_prime_coupled(n).p
-    else:
-        raise ValueError(f"no recurrence for k={k}; supported k are 2, 3, 4")
-    return factorial(n) * prime

@@ -20,7 +20,6 @@ from carlitz import formulas, recurrences
 from carlitz.cli import main
 from carlitz.exact import (
     InexactDivisionError,
-    RationalPoly,
     exact_div,
     factorial,
     multinomial,
@@ -31,8 +30,9 @@ from carlitz.formulas import (
     a3_inclusion_exclusion,
     a3_terms,
     a4_inclusion_exclusion,
-    a4_phi_range,
     a4_terms,
+    phi_count,
+    phi_count_range,
 )
 from carlitz.recurrences import (
     a2_prime_rec,
@@ -218,7 +218,7 @@ def test_criterion_5_divisibility_and_fault_injection(capsys, monkeypatch):
         assert a3_prime_fourterm_range(120, rational=True) == a3_prime_fourterm_range(120)
         a4_prime_coupled_range(100)
         # phi-route integrality over the verified range.
-        a4_phi_range(60)
+        phi_count_range(4, 60)
 
         # Fault injection: a flipped coefficient in any engine must trip
         # the loud failure path, never return a rounded value.
@@ -269,17 +269,20 @@ def test_criterion_5_divisibility_and_fault_injection(capsys, monkeypatch):
             pass
         monkeypatch.undo()
 
-        from fractions import Fraction
+        real_base = formulas.phi_base
 
-        bad_base = RationalPoly(
-            [0, -1, Fraction(3, 2), Fraction(-1, 2), Fraction(1, 23)]
-        )
-        monkeypatch.setattr(formulas, "_PHI_BASE_K4", bad_base)
-        try:
-            formulas.a4_phi(2)
-            raise AssertionError("corrupted phi base went unnoticed")
-        except InexactDivisionError:
-            pass
+        def bad_base(k):
+            base = real_base(k)
+            base[2] += 1
+            return base
+
+        monkeypatch.setattr(formulas, "phi_base", bad_base)
+        for route in (lambda: phi_count((4, 4)), lambda: phi_count_range(4, 2)):
+            try:
+                route()
+                raise AssertionError("corrupted phi base went unnoticed")
+            except InexactDivisionError:
+                pass
         monkeypatch.undo()
 
 

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from carlitz import formulas
-from carlitz.cli import SequenceRecord, main
+from carlitz.cli import _check_method, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -21,24 +21,26 @@ def run(runner, *args):
     return runner.invoke(main, [str(a) for a in args])
 
 
-class TestSequenceRecord:
+class TestCheckMethod:
     def test_accepts_supported_methods(self):
-        SequenceRecord(3, 3, 174, False, "incl-excl")
-        SequenceRecord(4, 2, 2, False, "phi")
-        SequenceRecord(7, 2, 2, False, "brute")
-        SequenceRecord(2, 6, 3655, True, "recurrence")
+        _check_method(3, False, "incl-excl")
+        _check_method(4, False, "phi")
+        _check_method(7, False, "brute")
+        _check_method(2, True, "recurrence")
 
     def test_rejects_unsupported_methods(self):
         with pytest.raises(ValueError):
-            SequenceRecord(3, 3, 174, False, "phi")
+            _check_method(3, False, "phi")
         with pytest.raises(ValueError):
-            SequenceRecord(4, 2, 1, True, "phi")
+            _check_method(4, True, "phi")
         with pytest.raises(ValueError):
-            SequenceRecord(5, 2, 2, False, "recurrence")
+            _check_method(5, False, "recurrence")
         with pytest.raises(ValueError):
-            SequenceRecord(5, 2, 2, False, "incl-excl")
+            _check_method(1, False, "recurrence")
         with pytest.raises(ValueError):
-            SequenceRecord(2, 2, 2, False, "typo")
+            _check_method(5, False, "incl-excl")
+        with pytest.raises(ValueError):
+            _check_method(2, False, "typo")
 
 
 class TestCount:
@@ -103,6 +105,13 @@ class TestCount:
         assert ok.exit_code == 0
         expected = run(runner, "count", "--k", 2, "--n", 13)
         assert ok.output == expected.output
+
+    def test_prints_values_beyond_default_digit_limit(self, runner):
+        # a_2(1500) has 8679 digits, past the interpreter's default
+        # 4300-digit int/str conversion limit.
+        r = run(runner, "count", "--k", 2, "--n", 1500)
+        assert r.exit_code == 0, r.output
+        assert len(r.output.strip()) == 8679
 
     def test_auto_resolution_for_large_k(self, runner):
         # No formula or recurrence at k=5: auto falls back to brute.
@@ -203,6 +212,14 @@ class TestOeisCheck:
         assert r.exit_code == 1
         assert "3/4 match" in r.output
         assert "first mismatch at index 2: file has 7, computed 2" in r.output
+
+    def test_value_beyond_default_digit_limit_passes(self, runner, tmp_path):
+        value = run(runner, "count", "--k", 2, "--n", 1500).output.strip()
+        big = tmp_path / "big.txt"
+        big.write_text(f"0 1\n1500 {value}\n", encoding="utf-8")
+        r = run(runner, "oeis-check", big, "--k", 2)
+        assert r.exit_code == 0, r.output
+        assert r.output == "2/2 match\n"
 
     def test_malformed_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -1,7 +1,7 @@
 """Tests for the exact-arithmetic building blocks."""
 
 import threading
-from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 import pytest
@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 from carlitz.exact import (
     InexactDivisionError,
-    RationalPoly,
     compositions,
     exact_div,
     factorial,
     multinomial,
     phi,
+    poly_mul,
 )
 
-# The cubic t^3/6 - t^2 + t, reused across phi fixtures.
-CUBIC = RationalPoly([0, 1, -1, Fraction(1, 6)])
+# 6 * (t^3/6 - t^2 + t), the integer-scaled k=3 base, reused across phi
+# fixtures.
+CUBIC = [0, 6, -6, 1]
 
 
 def test_exact_div():
@@ -110,44 +111,32 @@ def test_compositions_complete_and_distinct(n, m):
         assert all(part >= 0 for part in item)
 
 
-def test_rational_poly_normalizes_trailing_zeros():
-    assert RationalPoly([1, 2, 0, 0]) == RationalPoly([1, 2])
-    assert RationalPoly([0, 0]).degree == -1
-    assert not RationalPoly([])
-    assert RationalPoly([5]).degree == 0
-
-
-def test_rational_poly_is_immutable():
-    p = RationalPoly([1, 2])
-    with pytest.raises(AttributeError):
-        p.coefficients = (Fraction(3),)
-
-
+# Polynomials are integer coefficient lists (the former RationalPoly class
+# scaled to integers); the two tests below keep its test names.
 def test_rational_poly_arithmetic():
-    t = RationalPoly([0, 1])
-    assert t * t == RationalPoly([0, 0, 1])
-    assert t + t == RationalPoly([0, 2])
-    assert RationalPoly([1, 1]) * RationalPoly([-1, 1]) == RationalPoly([-1, 0, 1])
-    # Addition can cancel the leading term.
-    assert (RationalPoly([0, 0, 1]) + RationalPoly([1, 0, -1])).degree == 0
+    t = [0, 1]
+    assert poly_mul(t, t) == [0, 0, 1]
+    assert poly_mul([1, 1], [-1, 1]) == [-1, 0, 1]
+    assert poly_mul([5], [1, 2]) == [5, 10]
+    assert poly_mul([], [1, 2]) == []
+    assert poly_mul(CUBIC, [1]) == CUBIC
+
+
+def power(a, e):
+    out = [1]
+    for _ in range(e):
+        out = poly_mul(a, out)
+    return out
 
 
 def test_rational_poly_pow():
-    assert CUBIC**0 == RationalPoly([1])
-    expected_square = RationalPoly(
-        [0, 0, 1, -2, Fraction(4, 3), Fraction(-1, 3), Fraction(1, 36)]
-    )
-    assert CUBIC**2 == expected_square
-    with pytest.raises(ValueError):
-        CUBIC ** (-1)
+    assert power(CUBIC, 0) == [1]
+    assert power(CUBIC, 1) == CUBIC
+    # 6^2 times the square of t^3/6 - t^2 + t.
+    assert power(CUBIC, 2) == [0, 0, 36, -72, 48, -12, 1]
 
 
-small_polys = st.builds(
-    RationalPoly,
-    st.lists(
-        st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=5
-    ),
-)
+small_polys = st.lists(st.integers(-6, 6), max_size=5)
 
 
 @given(small_polys, st.integers(0, 8), st.integers(0, 8))
@@ -156,17 +145,21 @@ def test_pow_splits_into_products(a, i, j):
     """a**(i+j) == a**i * a**j for small random polynomials."""
     if i + j > 8:
         i, j = i % 4, j % 4
-    assert a ** (i + j) == (a**i) * (a**j)
+    assert power(a, i + j) == poly_mul(power(a, i), power(a, j))
 
 
 def test_phi_fixed_points():
-    assert phi(RationalPoly([1])) == 1
+    assert phi([1]) == 1
     assert phi(CUBIC) == 0
-    assert phi(CUBIC**2) == 2
-    assert phi(RationalPoly([])) == 0
+    assert phi(poly_mul(CUBIC, CUBIC)) == 2 * 6**2
+    assert phi([]) == 0
+
+
+def add(a, b):
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 @given(small_polys, small_polys)
 @settings(max_examples=100)
 def test_phi_is_linear(a, b):
-    assert phi(a + b) == phi(a) + phi(b)
+    assert phi(add(a, b)) == phi(a) + phi(b)

@@ -1,14 +1,12 @@
 """Tests for the closed-form counts: table rows, per-term traces, the
 phi route, and agreement with the word oracle."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlitz import formulas
-from carlitz.exact import InexactDivisionError, RationalPoly, exact_div, factorial, phi
+from carlitz.exact import InexactDivisionError, exact_div, factorial, multinomial
 from carlitz.formulas import (
     a1,
     a2_inclusion_exclusion,
@@ -16,13 +14,17 @@ from carlitz.formulas import (
     a3_inclusion_exclusion,
     a3_terms,
     a4_inclusion_exclusion,
-    a4_phi,
-    a4_phi_range,
     a4_terms,
     phi_base,
+    phi_count,
+    phi_count_range,
     upper_bound,
 )
-from carlitz.words import MultiplicityVector, count_carlitz_total
+from carlitz.words import (
+    MultiplicityVector,
+    count_carlitz_by_filter,
+    count_carlitz_total,
+)
 
 A1_ROW = [1, 1, 2, 6, 24, 120, 720]
 A2_ROW = [1, 0, 2, 30, 864, 39480, 2631600]
@@ -48,7 +50,7 @@ def test_a4_row():
 
 def test_rejects_negative_n():
     for fn in (a1, a2_inclusion_exclusion, a3_inclusion_exclusion,
-               a4_inclusion_exclusion, a4_phi):
+               a4_inclusion_exclusion):
         with pytest.raises(ValueError):
             fn(-1)
 
@@ -82,44 +84,77 @@ def test_a4_term_compositions_cover_everything():
 
 
 def test_phi_base_small_k():
-    assert phi_base(1) == RationalPoly([0, 1])
-    assert phi_base(2) == RationalPoly([0, -1, Fraction(1, 2)])
-    assert phi_base(3) == RationalPoly([0, 1, -1, Fraction(1, 6)])
-    assert phi_base(4) == RationalPoly(
-        [0, -1, Fraction(3, 2), Fraction(-1, 2), Fraction(1, 24)]
-    )
+    assert phi_base(1) == [0, 1]
+    assert phi_base(2) == [0, -2, 1]
+    assert phi_base(3) == [0, 6, -6, 1]
+    assert phi_base(4) == [0, -24, 36, -12, 1]
     with pytest.raises(ValueError):
         phi_base(0)
 
 
 def test_phi_route_reproduces_each_k():
-    """phi(base_k**n) equals the k-th count for every implemented k."""
+    """phi of the n-th power of each base equals the k-th count."""
     for n in range(8):
-        assert phi(phi_base(1) ** n) == a1(n)
-        assert phi(phi_base(2) ** n) == a2_inclusion_exclusion(n)
-        assert phi(phi_base(3) ** n) == a3_inclusion_exclusion(n)
-        assert phi(phi_base(4) ** n) == a4_inclusion_exclusion(n)
+        assert phi_count((1,) * n) == a1(n)
+        assert phi_count((2,) * n) == a2_inclusion_exclusion(n)
+        assert phi_count((3,) * n) == a3_inclusion_exclusion(n)
+        assert phi_count((4,) * n) == a4_inclusion_exclusion(n)
+    for k, row in ((1, A1_ROW), (2, A2_ROW), (3, A3_ROW), (4, A4_ROW)):
+        assert phi_count_range(k, len(row) - 1) == row
 
 
 def test_a4_phi_matches_sum():
     for n in range(26):
-        assert a4_phi(n) == a4_inclusion_exclusion(n)
+        assert phi_count((4,) * n) == a4_inclusion_exclusion(n)
 
 
 def test_a4_phi_range_is_incremental_and_consistent():
-    values = a4_phi_range(12)
-    assert values == [a4_phi(n) for n in range(13)]
+    values = phi_count_range(4, 12)
+    assert values == [phi_count((4,) * n) for n in range(13)]
+    with pytest.raises(ValueError):
+        phi_count_range(4, -1)
 
 
 def test_a4_phi_rejects_corrupted_base(monkeypatch):
-    # A wrong leading coefficient makes phi(base**n) non-integral, which
-    # must abort loudly rather than round.
-    bad = RationalPoly([0, -1, Fraction(3, 2), Fraction(-1, 2), Fraction(1, 23)])
-    monkeypatch.setattr(formulas, "_PHI_BASE_K4", bad)
+    # A wrong non-leading coefficient leaves phi of the product
+    # indivisible by 24^n, which must abort loudly rather than round.
+    # (+1 on the leading coefficient stays divisible for n <= 3.)
+    real = formulas.phi_base
+
+    def corrupted(k):
+        base = real(k)
+        base[1] += 1
+        return base
+
+    monkeypatch.setattr(formulas, "phi_base", corrupted)
     with pytest.raises(InexactDivisionError):
-        a4_phi(1)
+        phi_count((4,))
     with pytest.raises(InexactDivisionError):
-        a4_phi_range(3)
+        phi_count_range(4, 3)
+
+
+@st.composite
+def multiplicity_vectors(draw):
+    """0-6 symbols with multiplicities 1-5, at most 12 letters in all."""
+    mults = []
+    for _ in range(draw(st.integers(0, 6))):
+        room = 12 - sum(mults)
+        if room < 1:
+            break
+        mults.append(draw(st.integers(1, min(5, room))))
+    return mults
+
+
+@given(multiplicity_vectors())
+@settings(max_examples=100, deadline=None)
+def test_phi_count_matches_oracles_on_heterogeneous_multisets(mults):
+    """phi on a non-uniform multiset equals the DP, and the naive filter
+    wherever enumerating every multiset permutation stays cheap."""
+    mv = MultiplicityVector(mults)
+    value = phi_count(mults)
+    assert value == count_carlitz_total(mv)
+    if multinomial(mv.total, mults) <= 20000:
+        assert value == count_carlitz_by_filter(mv)
 
 
 def test_upper_bound():

@@ -21,7 +21,6 @@ from carlitz.recurrences import (
     a3_prime_fourterm_range,
     a4_prime_coupled,
     a4_prime_coupled_range,
-    a_from_ordered,
 )
 from carlitz.words import MultiplicityVector, count_ordered_carlitz
 
@@ -73,13 +72,11 @@ def test_a4_coupled_values():
 
 
 def test_a_from_ordered():
-    assert a_from_ordered(3, 5) == 19606320
-    assert a_from_ordered(2, 4) == 864
-    assert a_from_ordered(4, 0) == 1
-    with pytest.raises(ValueError):
-        a_from_ordered(5, 3)
-    with pytest.raises(ValueError):
-        a_from_ordered(1, 3)
+    """a_k(n) = n! * a'_k(n), the route of unordered recurrence counts;
+    the CLI rejects that route for k outside 2..4 (see test_cli)."""
+    assert factorial(5) * a3_prime_coupled(5).p == 19606320
+    assert factorial(4) * a2_prime_rec(4) == 864
+    assert factorial(0) * a4_prime_coupled(0).p == 1
 
 
 def test_rejects_negative_index():
