@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import click
 
@@ -32,87 +33,100 @@ METHODS = ("brute", "incl-excl", "phi", "recurrence")
 DEFAULT_VERIFY_BRUTE_LIMIT = 15
 
 
-def _check_method(k: int, ordered: bool, method: str) -> None:
+class RouteError(click.UsageError, ValueError):
+    """A --method that cannot serve this k or orientation (exit 2)."""
+
+
+class Route(NamedTuple):
+    """One way to compute a_k(n) or a'_k(n).  Its callables look engines up
+    on their modules when they run, never at import, so a test or tracer
+    that replaces a module attribute changes what the route computes."""
+
+    name: str
+    supports: Callable[[int, bool], bool]  # (k, ordered) -> usable?
+    ordered: bool  # counts ordered words natively
+    sized: bool  # refused past --limit letters
+    point: Callable[[int, int, int], int]  # (k, n, limit) -> count
+    range: Callable[[int, int], list[int]] | None = None  # (k, n_max) -> counts
+    refusal: str = ""  # usage error when supports() is false; may use {k}
+
+
+#: Every route, in `verify` column order.  `count`, `table` and
+#: `oeis-check` pick one through resolve(); `verify` uses each row that
+#: supports k.
+ROUTES = (
+    Route("incl-excl", lambda k, ordered: 1 <= k <= 4, False, False,
+          lambda k, n, limit: formulas.inclusion_exclusion(k, n), None,
+          "incl-excl supports k=1..4 only, not k={k}"),
+    Route("recurrence", lambda k, ordered: 2 <= k <= 4, True, False,
+          lambda k, n, limit: recurrences.prime(k, n),
+          lambda k, n_max: recurrences.prime_range(k, n_max),
+          "recurrence supports k=2,3,4 only, not k={k}"),
+    Route("four-term", lambda k, ordered: k == 3, True, False,
+          lambda k, n, limit: recurrences.a3_prime_fourterm(n),
+          lambda k, n_max: recurrences.a3_prime_fourterm_range(n_max)),
+    Route("phi", lambda k, ordered: k == 4 and not ordered, False, False,
+          lambda k, n, limit: formulas.phi_count((k,) * n),
+          lambda k, n_max: formulas.phi_count_range(k, n_max),
+          "phi supports only k=4 unordered counts"),
+    Route("brute", lambda k, ordered: True, False, True,
+          lambda k, n, limit: words.count_carlitz_total(MultiplicityVector.uniform(k, n), limit=limit)),
+    Route("brute-ordered", lambda k, ordered: True, True, True,
+          lambda k, n, limit: words.count_ordered_carlitz(MultiplicityVector.uniform(k, n), limit=limit)),
+)
+_BY_NAME = {route.name: route for route in ROUTES}
+
+#: `--method auto` takes the first of these that supports k.
+AUTO = ("recurrence", "incl-excl", "brute")
+
+
+def resolve(k: int, ordered: bool, method: str) -> Route:
+    """The route that `--method` names for k; RouteError if it cannot serve.
+
+    `auto` picks by AUTO; `brute --ordered` is the backtracking oracle.
+    """
+    if method == "auto":
+        method = next(m for m in AUTO if _BY_NAME[m].supports(k, ordered))
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "recurrence" and k not in (2, 3, 4):
-        raise ValueError(f"recurrence supports k=2,3,4 only, not k={k}")
-    if method == "incl-excl" and not 1 <= k <= 4:
-        raise ValueError(f"incl-excl supports k=1..4 only, not k={k}")
-    if method == "phi" and (k != 4 or ordered):
-        raise ValueError("phi supports only k=4 unordered counts")
+        raise RouteError(f"unknown method {method!r}")
+    if method == "brute" and ordered:
+        method = "brute-ordered"
+    route = _BY_NAME[method]
+    if not route.supports(k, ordered):
+        raise RouteError(route.refusal.format(k=k))
+    return route
 
 
-def _auto_method(k: int) -> str:
-    if k in (2, 3, 4):
-        return "recurrence"
-    if k == 1:
-        return "incl-excl"
-    return "brute"
+def _orient(value: int, n: int, native_ordered: bool, ordered: bool) -> int:
+    """Convert a count between orientations: a_k(n) = n! * a'_k(n)."""
+    if native_ordered == ordered:
+        return value
+    if ordered:
+        return exact_div(value, factorial(n))
+    return factorial(n) * value
 
 
-def _incl_excl_total(k: int, n: int) -> int:
-    if k == 1:
-        return formulas.a1(n)
-    if k == 2:
-        return formulas.a2_inclusion_exclusion(n)
-    if k == 3:
-        return formulas.a3_inclusion_exclusion(n)
-    return formulas.a4_inclusion_exclusion(n)
+def _values(route: Route, k: int, n_max: int, ordered: bool, limit: int) -> list[int]:
+    """Values for n = 0..n_max; routes with a range callable advance incrementally."""
+    if route.range is not None:
+        raw = route.range(k, n_max)
+    else:
+        raw = [route.point(k, n, limit) for n in range(n_max + 1)]
+    return [_orient(v, n, route.ordered, ordered) for n, v in enumerate(raw)]
 
 
-def _compute_one(k: int, n: int, ordered: bool, method: str, limit: int) -> int:
-    """One value by one method; SizeLimitError propagates to the caller."""
-    if method == "brute":
-        mv = MultiplicityVector.uniform(k, n)
-        if ordered:
-            return words.count_ordered_carlitz(mv, limit=limit)
-        return words.count_carlitz_total(mv, limit=limit)
-    if method == "recurrence":
-        if k == 2:
-            prime = recurrences.a2_prime_rec(n)
-        elif k == 3:
-            prime = recurrences.a3_prime_coupled(n).p
-        else:
-            prime = recurrences.a4_prime_coupled(n).p
-        return prime if ordered else factorial(n) * prime
-    if method == "phi":
-        return formulas.phi_count((k,) * n)
-    total = _incl_excl_total(k, n)
-    return exact_div(total, factorial(n)) if ordered else total
+class _Main(click.Group):
+    """The `carlitz` group: a size-limit refusal from any command exits 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SizeLimitError as exc:
+            click.echo(f"refused: {exc}", err=True)
+            sys.exit(3)
 
 
-def _compute_range(
-    k: int, n_max: int, ordered: bool, method: str, limit: int
-) -> list[int]:
-    """Values for n = 0..n_max; recurrence and phi advance incrementally."""
-    if method == "recurrence":
-        if k == 2:
-            primes = recurrences.a2_prime_range(n_max)
-        elif k == 3:
-            primes = [s.p for s in recurrences.a3_prime_coupled_range(n_max)]
-        else:
-            primes = [s.p for s in recurrences.a4_prime_coupled_range(n_max)]
-        if ordered:
-            return primes
-        return [factorial(n) * p for n, p in enumerate(primes)]
-    if method == "phi":
-        return formulas.phi_count_range(k, n_max)
-    return [_compute_one(k, n, ordered, method, limit) for n in range(n_max + 1)]
-
-
-def _term_stream(k: int, n: int):
-    if k == 2:
-        return formulas.a2_terms(n)
-    if k == 3:
-        return formulas.a3_terms(n)
-    return formulas.a4_terms(n)
-
-
-_TERM_LETTERS = "stuvw"
-
-
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Count Carlitz words (no two adjacent symbols equal) over k copies
     each of n symbols, by brute force, inclusion-exclusion, factorial
@@ -132,35 +146,26 @@ def main():
 @click.option("--limit", type=click.IntRange(min=0), default=DEFAULT_SYMBOL_LIMIT, show_default=True, help="Refuse brute force beyond this total word length.")
 def count(k: int, n: int, ordered: bool, method: str, trace: bool, limit: int):
     """Print one exact count."""
-    if trace:
-        if method == "auto":
-            method = "incl-excl"
-        if method != "incl-excl":
-            raise click.UsageError("--trace is only available for --method incl-excl")
-        if ordered:
-            raise click.UsageError("--trace reports the unordered sum; drop --ordered")
-        if k not in (2, 3, 4):
-            raise click.UsageError("--trace is only available for k=2,3,4")
-    elif method == "auto":
-        method = _auto_method(k)
+    if not trace:
+        route = resolve(k, ordered, method)
+        click.echo(str(_orient(route.point(k, n, limit), n, route.ordered, ordered)))
+        return
+    if method not in ("auto", "incl-excl"):
+        raise click.UsageError("--trace is only available for --method incl-excl")
+    if ordered:
+        raise click.UsageError("--trace reports the unordered sum; drop --ordered")
     try:
-        _check_method(k, ordered, method)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        value = _compute_one(k, n, ordered, method, limit)
-    except SizeLimitError as exc:
-        click.echo(f"refused: {exc}", err=True)
-        sys.exit(3)
-    if trace:
-        for term in _term_stream(k, n):
-            pattern = " ".join(
-                f"{_TERM_LETTERS[i]}={c}" for i, c in enumerate(term.composition)
-            )
-            click.echo(f"{pattern}  {term.value:+d}")
-        click.echo(f"total {value}")
-    else:
-        click.echo(str(value))
+        terms = formulas.terms(k, n)
+    except ValueError:
+        raise click.UsageError("--trace is only available for k=2,3,4")
+    total = 0
+    for term in terms:
+        pattern = " ".join(
+            f"{'stuvw'[i]}={c}" for i, c in enumerate(term.composition)
+        )
+        click.echo(f"{pattern}  {term.value:+d}")
+        total += term.value
+    click.echo(f"total {total}")
 
 
 @main.command()
@@ -172,17 +177,7 @@ def count(k: int, n: int, ordered: bool, method: str, trace: bool, limit: int):
 @click.option("--limit", type=click.IntRange(min=0), default=DEFAULT_SYMBOL_LIMIT, show_default=True, help="Refuse brute force beyond this total word length.")
 def table(k: int, n_max: int, ordered: bool, method: str, fmt: str, limit: int):
     """Print values for n = 0..n-max."""
-    if method == "auto":
-        method = _auto_method(k)
-    try:
-        _check_method(k, ordered, method)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        values = _compute_range(k, n_max, ordered, method, limit)
-    except SizeLimitError as exc:
-        click.echo(f"refused: {exc}", err=True)
-        sys.exit(3)
+    values = _values(resolve(k, ordered, method), k, n_max, ordered, limit)
     if fmt == "csv":
         click.echo("n,value")
         for n, v in enumerate(values):
@@ -208,42 +203,21 @@ def verify(k: int, n_max: int, limit: int):
     a_k(n) by n!.  Exits 1 on the first disagreement.
     """
     columns: dict[str, list[int]] = {}
-    columns["incl-excl"] = _compute_range(k, n_max, False, "incl-excl", 0)
-    columns["recurrence*n!"] = _compute_range(k, n_max, False, "recurrence", 0)
-    if k == 3:
-        fourterm = recurrences.a3_prime_fourterm_range(n_max)
-        columns["four-term*n!"] = [factorial(n) * p for n, p in enumerate(fourterm)]
-    if k == 4:
-        columns["phi"] = _compute_range(k, n_max, False, "phi", 0)
-    brute_n_max = min(n_max, limit // k)
-    brute_total = [
-        words.count_carlitz_total(MultiplicityVector.uniform(k, n))
-        for n in range(brute_n_max + 1)
-    ]
-    brute_ordered = [
-        words.count_ordered_carlitz(MultiplicityVector.uniform(k, n))
-        for n in range(brute_n_max + 1)
-    ]
-    columns["brute"] = brute_total
-    columns["brute-ordered*n!"] = [
-        factorial(n) * p for n, p in enumerate(brute_ordered)
-    ]
+    for route in ROUTES:
+        if route.supports(k, False):
+            top = min(n_max, limit // k) if route.sized else n_max
+            label = f"{route.name}*n!" if route.ordered else route.name
+            columns[label] = _values(route, k, top, False, limit)
 
     for name, values in columns.items():
         click.echo(f"  {name}: n = 0..{len(values) - 1}")
-    reference = "incl-excl"
+    (reference, expected), *others = columns.items()
     failures = 0
-    for name, values in columns.items():
-        if name == reference:
-            continue
-        for n, v in enumerate(values):
-            expected = columns[reference][n]
-            if v != expected:
-                click.echo(
-                    f"MISMATCH k={k} n={n}: {reference}={expected}, {name}={v}"
-                )
-                failures += 1
-                break
+    for name, values in others:
+        bad = next((n for n, v in enumerate(values) if v != expected[n]), None)
+        if bad is not None:
+            click.echo(f"MISMATCH k={k} n={bad}: {reference}={expected[bad]}, {name}={values[bad]}")
+            failures += 1
     if failures:
         click.echo(f"verify k={k}: FAILED ({failures} method(s) disagree)")
         sys.exit(1)
@@ -259,12 +233,7 @@ def verify(k: int, n_max: int, limit: int):
 @click.option("--limit", type=click.IntRange(min=0), default=DEFAULT_SYMBOL_LIMIT, show_default=True, help="Refuse brute force beyond this total word length.")
 def oeis_check(file: str, k: int, ordered: bool, offset: int, method: str, limit: int):
     """Compare a local OEIS b-file against computed values."""
-    if method == "auto":
-        method = _auto_method(k)
-    try:
-        _check_method(k, ordered, method)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    route = resolve(k, ordered, method)
     try:
         entries = read_bfile(file)
     except BFileFormatError as exc:
@@ -280,11 +249,7 @@ def oeis_check(file: str, k: int, ordered: bool, offset: int, method: str, limit
             err=True,
         )
         sys.exit(2)
-    try:
-        computed = _compute_range(k, max(ns), ordered, method, limit)
-    except SizeLimitError as exc:
-        click.echo(f"refused: {exc}", err=True)
-        sys.exit(3)
+    computed = _values(route, k, max(ns), ordered, limit)
     matches = 0
     first_bad = None
     for entry, n in zip(entries, ns):

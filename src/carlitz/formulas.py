@@ -133,6 +133,21 @@ def a4_inclusion_exclusion(n: int) -> int:
     return total
 
 
+def inclusion_exclusion(k: int, n: int) -> int:
+    """a_k(n) by the inclusion-exclusion sum of that k, for k = 1..4."""
+    if not 1 <= k <= 4:
+        raise ValueError(f"incl-excl supports k=1..4 only, not k={k}")
+    sums = (a1, a2_inclusion_exclusion, a3_inclusion_exclusion, a4_inclusion_exclusion)
+    return sums[k - 1](n)
+
+
+def terms(k: int, n: int) -> Iterator[Term]:
+    """The signed terms of the k = 2, 3, 4 sum; other k raise ValueError at once."""
+    if not 2 <= k <= 4:
+        raise ValueError(f"term streams exist for k=2,3,4 only, not k={k}")
+    return (a2_terms, a3_terms, a4_terms)[k - 2](n)
+
+
 def phi_base(k: int) -> list[int]:
     """Coefficients of k! * L_k(t), all integers.
 

@@ -282,3 +282,22 @@ def a4_prime_coupled_range(n_max: int) -> list[CoupledState4]:
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     return list(islice(_iter_coupled4(), n_max + 1))
+
+
+def prime(k: int, n: int) -> int:
+    """a'_k(n) for k = 2, 3, 4: the three-term recurrence or a coupled system."""
+    if not 2 <= k <= 4:
+        raise ValueError(f"recurrence supports k=2,3,4 only, not k={k}")
+    if k == 2:
+        return a2_prime_rec(n)
+    return (a3_prime_coupled if k == 3 else a4_prime_coupled)(n).p
+
+
+def prime_range(k: int, n_max: int) -> list[int]:
+    """[a'_k(0), ..., a'_k(n_max)] for k = 2, 3, 4, in one pass of that engine."""
+    if not 2 <= k <= 4:
+        raise ValueError(f"recurrence supports k=2,3,4 only, not k={k}")
+    if k == 2:
+        return a2_prime_range(n_max)
+    states = (a3_prime_coupled_range if k == 3 else a4_prime_coupled_range)(n_max)
+    return [s.p for s in states]

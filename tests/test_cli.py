@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from carlitz import formulas
-from carlitz.cli import _check_method, main
+from carlitz import formulas, recurrences, words
+from carlitz.cli import main, resolve
 
 DATA = Path(__file__).parent / "data"
 
@@ -23,24 +23,40 @@ def run(runner, *args):
 
 class TestCheckMethod:
     def test_accepts_supported_methods(self):
-        _check_method(3, False, "incl-excl")
-        _check_method(4, False, "phi")
-        _check_method(7, False, "brute")
-        _check_method(2, True, "recurrence")
+        resolve(3, False, "incl-excl")
+        resolve(4, False, "phi")
+        resolve(7, False, "brute")
+        resolve(2, True, "recurrence")
 
     def test_rejects_unsupported_methods(self):
         with pytest.raises(ValueError):
-            _check_method(3, False, "phi")
+            resolve(3, False, "phi")
         with pytest.raises(ValueError):
-            _check_method(4, True, "phi")
+            resolve(4, True, "phi")
         with pytest.raises(ValueError):
-            _check_method(5, False, "recurrence")
+            resolve(5, False, "recurrence")
         with pytest.raises(ValueError):
-            _check_method(1, False, "recurrence")
+            resolve(1, False, "recurrence")
         with pytest.raises(ValueError):
-            _check_method(5, False, "incl-excl")
+            resolve(5, False, "incl-excl")
         with pytest.raises(ValueError):
-            _check_method(2, False, "typo")
+            resolve(2, False, "typo")
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+@pytest.mark.parametrize("ordered", [False, True])
+@pytest.mark.parametrize("method", ["auto", "brute", "incl-excl", "phi", "recurrence"])
+def test_route_resolution_grid(runner, k, ordered, method):
+    supported = {
+        "auto": True,
+        "brute": True,
+        "incl-excl": 1 <= k <= 4,
+        "phi": k == 4 and not ordered,
+        "recurrence": 2 <= k <= 4,
+    }[method]
+    flag = ["--ordered"] if ordered else []
+    r = run(runner, "count", "--k", k, "--n", 2, "--method", method, *flag)
+    assert r.exit_code == (0 if supported else 2), r.output
 
 
 class TestCount:
@@ -170,6 +186,37 @@ class TestVerify:
         r = run(runner, "verify", "--k", 4, "--n-max", 8)
         assert r.exit_code == 0
         assert "phi" in r.output
+
+    @pytest.mark.parametrize("k,columns", [
+        (2, [("incl-excl", 6), ("recurrence*n!", 6), ("brute", 6),
+             ("brute-ordered*n!", 6)]),
+        (3, [("incl-excl", 6), ("recurrence*n!", 6), ("four-term*n!", 6),
+             ("brute", 5), ("brute-ordered*n!", 5)]),
+        (4, [("incl-excl", 6), ("recurrence*n!", 6), ("phi", 6),
+             ("brute", 3), ("brute-ordered*n!", 3)]),
+    ])
+    def test_exact_listing(self, runner, k, columns):
+        r = run(runner, "verify", "--k", k, "--n-max", 6)
+        assert r.exit_code == 0
+        assert r.output == "".join(
+            f"  {name}: n = 0..{last}\n" for name, last in columns
+        ) + f"verify k={k}: all {len(columns)} methods agree for n = 0..6\n"
+
+    def test_limit_bounds_brute_columns_and_oracles(self, runner, monkeypatch):
+        # At k=2 the brute columns reach n = 13 (26 letters), past the
+        # oracles' default size check of 24.  a'_2(13) is about 10^11
+        # words, so the enumerating oracle is replaced by a stub that
+        # keeps its size check; the DP column runs for real.
+        def ordered_stub(mv, limit=words.DEFAULT_SYMBOL_LIMIT):
+            words._check_limit(mv, limit, "ordered counting")
+            return recurrences.a2_prime_rec(mv.symbols)
+
+        monkeypatch.setattr(words, "count_ordered_carlitz", ordered_stub)
+        r = run(runner, "verify", "--k", 2, "--n-max", 13, "--limit", 26)
+        assert r.exit_code == 0, r.output
+        assert "  brute: n = 0..13\n" in r.output
+        assert "  brute-ordered*n!: n = 0..13\n" in r.output
+        assert r.output.endswith("verify k=2: all 4 methods agree for n = 0..13\n")
 
     def test_k_out_of_range_exits_2(self, runner):
         assert run(runner, "verify", "--k", 5).exit_code == 2
