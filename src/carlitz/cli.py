@@ -108,6 +108,8 @@ def _orient(value: int, n: int, native_ordered: bool, ordered: bool) -> int:
 
 def _values(route: Route, k: int, n_max: int, ordered: bool, limit: int) -> list[int]:
     """Values for n = 0..n_max; routes with a range callable advance incrementally."""
+    if route.sized and k * n_max > limit:
+        route.point(k, limit // k + 1, limit)  # the first n past the limit refuses at once
     if route.range is not None:
         raw = route.range(k, n_max)
     else:

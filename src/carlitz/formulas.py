@@ -1,10 +1,9 @@
 """Closed-form counts of Carlitz words over k copies each of n symbols.
 
-Inclusion-exclusion sums for k = 2, 3, 4 over blocking patterns of each
-symbol's copies: a composition (s, t, ...) records how many symbols have
-their copies fully separated, glued into specific block shapes, and so
-on; each pattern contributes a signed multinomial times a factorial of
-the reduced word length divided by symmetry factors.
+Inclusion-exclusion sums for k = 2, 3, 4: a composition of the n symbols
+over the blocking patterns in PATTERNS (how many blocks each symbol's
+copies are glued into) gives one signed term.  The term streams compute
+each term on their own; the sums walk from one term to the next.
 
 Independently, the factorial substitution phi (t^j -> j!) counts the
 Carlitz words over any multiset (m_1, ..., m_r) as phi(prod L_{m_i}(t)).
@@ -20,18 +19,15 @@ away.
 
 from __future__ import annotations
 
+from math import perm
 from typing import Iterable, Iterator, NamedTuple
 
 from .exact import compositions, exact_div, factorial, multinomial, phi, poly_mul
 
 
 class Term(NamedTuple):
-    """One signed summand of an inclusion-exclusion sum.
-
-    composition holds the blocking-pattern indices (s, t) for k=2,
-    (s, t, u) for k=3, (s, t, u, v, w) for k=4; value is the signed
-    integer contribution.
-    """
+    """One signed summand of an inclusion-exclusion sum: composition holds
+    one count per PATTERNS row, (s, t, u, v, w) for k=4."""
 
     composition: tuple[int, ...]
     value: int
@@ -44,41 +40,82 @@ def a1(n: int) -> int:
     return factorial(n)
 
 
-def a2_terms(n: int) -> Iterator[Term]:
-    """Signed terms of the k=2 sum, in composition order (s descending).
+#: Blocking patterns, one row per composition part: (blocks, divisor,
+#: sign).  A symbol in the part has its k copies glued into `blocks`
+#: blocks; `divisor` is the shape's symmetry factor.  As weights
+#: sign * t^blocks / divisor the rows sum to the Laguerre factor L_k(t).
+#: The last row is always the 1-block shape.
+PATTERNS = {
+    2: ((2, 2, 1), (1, 1, -1)),
+    3: ((3, 6, 1), (2, 1, -1), (1, 1, 1)),
+    4: ((4, 24, 1), (3, 2, -1), (2, 1, 1), (2, 2, 1), (1, 1, -1)),
+}
 
-    Term at (s, t), s + t = n:  (-1)^t * C(n, s) * (2s+t)! / 2^s.
+
+def _pattern_terms(k: int, n: int) -> Iterator[Term]:
+    """The terms of the k sum, each on its own, in compositions() order:
+    sign * multinomial(n; c) * (sum of blocks*c)! / prod of divisor^c."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    rows = PATTERNS[k]
+    for comp in compositions(n, len(rows)):
+        length, div, negative = 0, 1, 0
+        for (blocks, d, sign), c in zip(rows, comp):
+            length += blocks * c
+            div *= d**c
+            negative ^= c & 1 if sign < 0 else 0
+        mag = multinomial(n, comp) * exact_div(factorial(length), div)
+        yield Term(comp, -mag if negative else mag)
+
+
+def _pattern_sum(k: int, n: int) -> int:
+    """The sum of _pattern_terms(k, n), each term reached from a neighbour.
+
+    The walk starts with all n symbols in the last part (term +-n!) and
+    moves them one at a time into earlier parts.  A move into a part of b
+    blocks multiplies the term by perm(length + b - 1, b - 1), then makes
+    one checked division by the divisor and one checked multinomial step.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    for s, t in compositions(n, 2):
-        mag = multinomial(n, (s, t)) * exact_div(factorial(2 * s + t), 2**s)
-        yield Term((s, t), -mag if t & 1 else mag)
+    rows = PATTERNS[k]
+    inner = len(rows) - 2
+
+    def walk(part: int, term: int, length: int, rest: int) -> int:
+        blocks, div, sign = rows[part]
+        sign *= rows[-1][2]
+        total = 0
+        for moved in range(rest + 1):
+            if moved:
+                term = exact_div(term * (sign * perm(length + blocks - 1, blocks - 1)), div)
+                term = exact_div(term * (rest - moved + 1), moved)
+                length += blocks - 1
+            total += term if part == inner else walk(part + 1, term, length, rest - moved)
+        return total
+
+    return walk(0, rows[-1][2] ** n * factorial(n), n, n)
+
+
+def a2_terms(n: int) -> Iterator[Term]:
+    """Signed terms of the k=2 sum, in composition order (s descending).
+    Term at (s, t), s + t = n:  (-1)^t * C(n, s) * (2s+t)! / 2^s."""
+    return _pattern_terms(2, n)
 
 
 def a2_inclusion_exclusion(n: int) -> int:
     """Number of Carlitz words over 2 copies each of n symbols."""
-    return sum(t.value for t in a2_terms(n))
+    return _pattern_sum(2, n)
 
 
 def a3_terms(n: int) -> Iterator[Term]:
-    """Signed terms of the k=3 sum.
-
-    Term at (s, t, u), s + t + u = n:
-    (-1)^t * multinomial(n; s,t,u) * (3s+2t+u)! / 6^s.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    for s, t, u in compositions(n, 3):
-        mag = multinomial(n, (s, t, u)) * exact_div(
-            factorial(3 * s + 2 * t + u), 6**s
-        )
-        yield Term((s, t, u), -mag if t & 1 else mag)
+    """Signed terms of the k=3 sum.  Term at (s, t, u), s + t + u = n:
+    (-1)^t * multinomial(n; s,t,u) * (3s+2t+u)! / 6^s."""
+    return _pattern_terms(3, n)
 
 
 def a3_inclusion_exclusion(n: int) -> int:
     """Number of Carlitz words over 3 copies each of n symbols."""
-    return sum(t.value for t in a3_terms(n))
+    return _pattern_sum(3, n)
 
 
 def a4_terms(n: int) -> Iterator[Term]:
@@ -86,51 +123,13 @@ def a4_terms(n: int) -> Iterator[Term]:
 
     Term at (s, t, u, v, w), s + t + u + v + w = n:
     (-1)^(t+w) * multinomial(n; s,t,u,v,w) * (4s+3t+2u+2v+w)! / (24^s * 2^(v+t)).
-
-    Each term is computed independently; a4_inclusion_exclusion uses a
-    faster incremental scheme and is differentially tested against this
-    stream.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    for comp in compositions(n, 5):
-        s, t, u, v, w = comp
-        mag = multinomial(n, comp) * exact_div(
-            factorial(4 * s + 3 * t + 2 * u + 2 * v + w), 24**s * 2 ** (v + t)
-        )
-        yield Term(comp, -mag if (t + w) & 1 else mag)
+    return _pattern_terms(4, n)
 
 
 def a4_inclusion_exclusion(n: int) -> int:
-    """Number of Carlitz words over 4 copies each of n symbols.
-
-    Same sum as a4_terms, evaluated with an incremental innermost loop:
-    for fixed (s, t, u) the terms over v (with w = R - v) share the
-    factorial (4s+3t+2u+R+v)! whose argument grows by one per step, so
-    each term follows from the previous by one big-int multiply and two
-    checked small divisions.  This cuts the dominant cost from ~n^4/6
-    factorial evaluations to ~n^3/2 without changing any term value.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    total = 0
-    for s in range(n + 1):
-        pow24s = 24**s
-        for t in range(n - s + 1):
-            for u in range(n - s - t + 1):
-                R = n - s - t - u
-                base = 4 * s + 3 * t + 2 * u + R
-                # v = 0 term: w = R, factorial argument = base.
-                q = exact_div(factorial(base), pow24s * 2**t)
-                mult = multinomial(n, (s, t, u, 0, R))
-                sign = -1 if (t + R) & 1 else 1
-                total += sign * mult * q
-                for v in range(R):
-                    q = exact_div(q * (base + v + 1), 2)
-                    mult = exact_div(mult * (R - v), v + 1)
-                    sign = -sign
-                    total += sign * mult * q
-    return total
+    """Number of Carlitz words over 4 copies each of n symbols."""
+    return _pattern_sum(4, n)
 
 
 def inclusion_exclusion(k: int, n: int) -> int:

@@ -86,6 +86,30 @@ class TestCount:
         assert lines[-1] == "total 174"
         assert len(lines) == 11
 
+    def test_trace_k4_exact(self, runner):
+        # PATTERNS[4] with its u and v rows swapped gives the same sums but a
+        # different trace; this pins every k=4 term and its order.
+        r = run(runner, "count", "--k", 4, "--n", 2, "--trace")
+        assert r.exit_code == 0
+        assert r.output == (
+            "s=2 t=0 u=0 v=0 w=0  +70\n"
+            "s=1 t=1 u=0 v=0 w=0  -210\n"
+            "s=0 t=2 u=0 v=0 w=0  +180\n"
+            "s=1 t=0 u=1 v=0 w=0  +60\n"
+            "s=0 t=1 u=1 v=0 w=0  -120\n"
+            "s=0 t=0 u=2 v=0 w=0  +24\n"
+            "s=1 t=0 u=0 v=1 w=0  +30\n"
+            "s=0 t=1 u=0 v=1 w=0  -60\n"
+            "s=0 t=0 u=1 v=1 w=0  +24\n"
+            "s=0 t=0 u=0 v=2 w=0  +6\n"
+            "s=1 t=0 u=0 v=0 w=1  -10\n"
+            "s=0 t=1 u=0 v=0 w=1  +24\n"
+            "s=0 t=0 u=1 v=0 w=1  -12\n"
+            "s=0 t=0 u=0 v=1 w=1  -6\n"
+            "s=0 t=0 u=0 v=0 w=2  +2\n"
+            "total 2\n"
+        )
+
     def test_trace_k2_contains_worked_terms(self, runner):
         r = run(runner, "count", "--k", 2, "--n", 3, "--trace")
         assert r.output.splitlines() == [
@@ -174,6 +198,28 @@ class TestTable:
     def test_brute_refusal_exits_3(self, runner):
         assert run(runner, "table", "--k", 5, "--n-max", 5,
                    "--method", "brute").exit_code == 3
+
+    def test_oversized_brute_refused_before_any_n(self, runner, monkeypatch, tmp_path):
+        # table and oeis-check both refuse a brute range whose last n is
+        # past --limit before enumerating any smaller n.
+        computed = []
+
+        def ordered_stub(mv, limit=words.DEFAULT_SYMBOL_LIMIT):
+            words._check_limit(mv, limit, "ordered counting")
+            computed.append(mv.symbols)
+            return recurrences.prime(4, mv.symbols)
+
+        monkeypatch.setattr(words, "count_ordered_carlitz", ordered_stub)
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("".join(f"{n} {recurrences.prime(4, n)}\n" for n in range(9)),
+                         encoding="utf-8")
+        for args in (("table", "--k", 4, "--n-max", 8),
+                     ("oeis-check", bfile, "--k", 4)):
+            r = run(runner, *args, "--method", "brute", "--ordered")
+            assert r.exit_code == 3
+            assert r.stdout == ""
+            assert r.stderr == "refused: ordered counting refused: total length 28 exceeds limit 24\n"
+        assert computed == []
 
 
 class TestVerify:

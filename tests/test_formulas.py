@@ -70,10 +70,31 @@ def test_a3_term_trace_n3():
     assert sum(t.value for t in terms) == 174
 
 
-def test_a4_terms_match_fast_sum():
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_terms_match_fast_sum(k):
     """The independent-term stream and the incremental sum agree."""
-    for n in range(9):
-        assert sum(t.value for t in a4_terms(n)) == a4_inclusion_exclusion(n)
+    for n in range({2: 41, 3: 21, 4: 9}[k]):
+        assert sum(t.value for t in formulas.terms(k, n)) == formulas.inclusion_exclusion(k, n)
+
+
+def test_wrong_pattern_divisor_raises(monkeypatch):
+    # A divisor that does not divide its term must abort both the term
+    # stream and the walk rather than round.
+    rows = formulas.PATTERNS[4]
+    monkeypatch.setitem(formulas.PATTERNS, 4, ((4, 48, 1),) + rows[1:])
+    with pytest.raises(InexactDivisionError):
+        list(a4_terms(1))
+    with pytest.raises(InexactDivisionError):
+        a4_inclusion_exclusion(1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_patterns_sum_to_laguerre_base(k):
+    """k! * sum of sign * t^blocks / divisor over the rows is k! * L_k(t)."""
+    coeffs = [0] * (k + 1)
+    for blocks, divisor, sign in formulas.PATTERNS[k]:
+        coeffs[blocks] += sign * exact_div(factorial(k), divisor)
+    assert coeffs == phi_base(k)
 
 
 def test_a4_term_compositions_cover_everything():
