@@ -56,7 +56,8 @@ class Route(NamedTuple):
 #: supports k.
 ROUTES = (
     Route("incl-excl", lambda k, ordered: 1 <= k <= 4, False, False,
-          lambda k, n, limit: formulas.inclusion_exclusion(k, n), None,
+          lambda k, n, limit: formulas.inclusion_exclusion(k, n),
+          lambda k, n_max: formulas.inclusion_exclusion_range(k, n_max),
           "incl-excl supports k=1..4 only, not k={k}"),
     Route("recurrence", lambda k, ordered: 2 <= k <= 4, True, False,
           lambda k, n, limit: recurrences.prime(k, n),

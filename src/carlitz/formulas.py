@@ -3,7 +3,9 @@
 Inclusion-exclusion sums for k = 2, 3, 4: a composition of the n symbols
 over the blocking patterns in PATTERNS (how many blocks each symbol's
 copies are glued into) gives one signed term.  The term streams compute
-each term on their own; the sums walk from one term to the next.
+each term on their own; the sums walk from one term to the next; the
+range table serves every n up to a bound from one tabulation of the last
+two rows' sums.
 
 Independently, the factorial substitution phi (t^j -> j!) counts the
 Carlitz words over any multiset (m_1, ..., m_r) as phi(prod L_{m_i}(t)).
@@ -138,6 +140,56 @@ def inclusion_exclusion(k: int, n: int) -> int:
         raise ValueError(f"incl-excl supports k=1..4 only, not k={k}")
     sums = (a1, a2_inclusion_exclusion, a3_inclusion_exclusion, a4_inclusion_exclusion)
     return sums[k - 1](n)
+
+
+def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
+    """[a_k(0), ..., a_k(n_max)] by the k sum, for k = 1..4, all n at once.
+
+    A composition splits into outer parts c (every row but the last two;
+    S symbols, B blocks) and the last two rows (b, d, s) and (1, 1, s_m),
+    which share R = n - S symbols.  Scaled by d^R, their sum over every
+    split of the R symbols is G(R, B + R), where Pascal's rule on C(R, j)
+    gives
+        G(0, L) = L!,  G(R, L) = d*s_m*G(R-1, L) + s*G(R-1, L + b - 1).
+    The rows are built one R at a time, each only as wide as the later
+    rows and the outer blocks need, and every outer composition adds
+        C(n, R) * sign * multinomial(S; c) * G(R, B + R) / (prod d_i^c_i * d^R)
+    to n = R + S with one checked division.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    if not 1 <= k <= 4:
+        raise ValueError(f"incl-excl supports k=1..4 only, not k={k}")
+    if k == 1:
+        return [factorial(n) for n in range(n_max + 1)]
+    *outer, (b, d, s), (_, _, s_m) = PATTERNS[k]
+    width = max([b] + [blocks for blocks, _, _ in outer])
+    out = [0] * (n_max + 1)
+
+    def walk(part: int, term: int, den: int, length: int, placed: int) -> None:
+        # term = C(placed, R) * sign * multinomial(placed - R; c so far),
+        # length = B so far, and g[length] = G(R, R + B).
+        if part == len(outer):
+            out[placed] += exact_div(term * g[length], den)
+            return
+        blocks, div, sign = outer[part]
+        moved = 0
+        while True:
+            walk(part + 1, term, den, length, placed)
+            if placed == n_max:
+                return
+            moved += 1
+            placed += 1
+            term = exact_div(term * sign * placed, moved)
+            den *= div
+            length += blocks
+
+    g = [factorial(length) for length in range(width * n_max + 1)]
+    for R in range(n_max + 1):
+        if R:
+            g = [d * s_m * g[i + 1] + s * g[i + b] for i in range(width * (n_max - R) + 1)]
+        walk(0, 1, d**R, 0, R)
+    return out
 
 
 def terms(k: int, n: int) -> Iterator[Term]:

@@ -164,7 +164,8 @@ def count_ordered_carlitz(
     """Number of ordered Carlitz words over mv.
 
     Same search as enumerate_ordered_carlitz but without materializing
-    words.  Agrees with the generator's yield count by construction.
+    words, and the last letter is counted in place instead of placed.
+    Agrees with the generator's yield count by construction.
     """
     _check_limit(mv, limit, "ordered counting")
     rem = list(mv.mults)
@@ -173,8 +174,10 @@ def count_ordered_carlitz(
         return 1
 
     def rec(last: int, next_new: int, left: int) -> int:
-        if left == 0:
-            return 1
+        if left == 1:
+            # The one letter left is always placeable (if new, it is the
+            # only unused symbol) unless it repeats the last one placed.
+            return 0 if last >= 0 and rem[last] == 1 else 1
         total = 0
         top = min(next_new, nsym - 1)
         for sym in range(top + 1):

@@ -195,6 +195,17 @@ class TestTable:
             assert run(runner, "table", "--k", 4, "--n-max", 6,
                        "--method", m).output == base
 
+    @pytest.mark.parametrize("k,n_max", [(2, 60), (3, 40), (4, 25)])
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_incl_excl_range_matches_recurrence(self, runner, k, n_max, ordered):
+        flag = ["--ordered"] if ordered else []
+        incl = run(runner, "table", "--k", k, "--n-max", n_max,
+                   "--method", "incl-excl", *flag)
+        rec = run(runner, "table", "--k", k, "--n-max", n_max,
+                  "--method", "recurrence", *flag)
+        assert incl.exit_code == rec.exit_code == 0
+        assert incl.output == rec.output
+
     def test_brute_refusal_exits_3(self, runner):
         assert run(runner, "table", "--k", 5, "--n-max", 5,
                    "--method", "brute").exit_code == 3
@@ -269,15 +280,26 @@ class TestVerify:
         assert run(runner, "verify", "--k", 1).exit_code == 2
 
     def test_injected_fault_exits_1(self, runner, monkeypatch):
-        real = formulas.a3_inclusion_exclusion
+        # verify's incl-excl column comes from the range table.
+        real = formulas.inclusion_exclusion_range
 
-        def wrong(n):
-            return real(n) + (720 if n == 7 else 0)
+        def wrong(k, n_max):
+            values = real(k, n_max)
+            values[7] += 720
+            return values
 
-        monkeypatch.setattr(formulas, "a3_inclusion_exclusion", wrong)
+        monkeypatch.setattr(formulas, "inclusion_exclusion_range", wrong)
         r = run(runner, "verify", "--k", 3, "--n-max", 10)
         assert r.exit_code == 1
         assert "MISMATCH k=3 n=7" in r.output
+
+    def test_count_reaches_the_point_sum(self, runner, monkeypatch):
+        real = formulas.a3_inclusion_exclusion
+        monkeypatch.setattr(formulas, "a3_inclusion_exclusion",
+                            lambda n: real(n) + (720 if n == 7 else 0))
+        r = run(runner, "count", "--k", 3, "--n", 7, "--method", "incl-excl")
+        assert r.exit_code == 0
+        assert r.output == f"{real(7) + 720}\n"
 
 
 class TestOeisCheck:

@@ -53,6 +53,9 @@ def test_rejects_negative_n():
                a4_inclusion_exclusion):
         with pytest.raises(ValueError):
             fn(-1)
+    for k in range(1, 5):
+        with pytest.raises(ValueError):
+            formulas.inclusion_exclusion_range(k, -1)
 
 
 def test_a2_term_trace_n3():
@@ -78,14 +81,31 @@ def test_terms_match_fast_sum(k):
 
 
 def test_wrong_pattern_divisor_raises(monkeypatch):
-    # A divisor that does not divide its term must abort both the term
-    # stream and the walk rather than round.
+    # A divisor that does not divide its term must abort the term stream,
+    # the walk and the range table rather than round: once in an outer
+    # row, once in the pair of rows the range table tabulates.
     rows = formulas.PATTERNS[4]
-    monkeypatch.setitem(formulas.PATTERNS, 4, ((4, 48, 1),) + rows[1:])
-    with pytest.raises(InexactDivisionError):
-        list(a4_terms(1))
-    with pytest.raises(InexactDivisionError):
-        a4_inclusion_exclusion(1)
+    for index, wrong in ((0, (4, 48, 1)), (3, (2, 4, 1))):
+        monkeypatch.setitem(formulas.PATTERNS, 4, rows[:index] + (wrong,) + rows[index + 1:])
+        with pytest.raises(InexactDivisionError):
+            list(a4_terms(1))
+        with pytest.raises(InexactDivisionError):
+            a4_inclusion_exclusion(1)
+        with pytest.raises(InexactDivisionError):
+            formulas.inclusion_exclusion_range(4, 1)
+
+
+@pytest.mark.parametrize("k,n_max", [(1, 60), (2, 60), (3, 40), (4, 16)])
+def test_range_matches_point_sums(k, n_max):
+    """The range table and the point walk agree at every n."""
+    assert formulas.inclusion_exclusion_range(k, n_max) == [
+        formulas.inclusion_exclusion(k, n) for n in range(n_max + 1)
+    ]
+
+
+@pytest.mark.parametrize("k,n_max", [(2, 150), (3, 80), (4, 40)])
+def test_range_matches_phi(k, n_max):
+    assert formulas.inclusion_exclusion_range(k, n_max) == phi_count_range(k, n_max)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -114,6 +114,18 @@ def test_count_ordered_uniform_k2_row():
     assert got == [1, 0, 1, 5, 36, 329, 3655]
 
 
+@pytest.mark.parametrize("mv", dict.fromkeys([
+    MultiplicityVector(()), MultiplicityVector((1,)), MultiplicityVector((2,)),
+    MultiplicityVector((1, 1)), MultiplicityVector((3, 1, 2)), MultiplicityVector((1, 4, 1)),
+    *(MultiplicityVector.uniform(k, n) for k in range(1, 6) for n in range(12 // k + 1)),
+    *(MultiplicityVector.prefixed(c, k, n) for c in (1, 2, 3) for k in (1, 2, 3) for n in range(4)),
+]), ids=lambda mv: ",".join(map(str, mv.mults)) or "empty")
+def test_count_ordered_matches_enumeration(mv):
+    """Counting the last letter in place gives the generator's yield count;
+    random heterogeneous vectors are test_enumerated_words_are_valid_and_counted's."""
+    assert count_ordered_carlitz(mv) == sum(1 for _ in enumerate_ordered_carlitz(mv))
+
+
 def test_count_total_known_values():
     assert count_carlitz_total(MultiplicityVector.uniform(2, 3)) == 30
     assert count_carlitz_total(MultiplicityVector.uniform(3, 3)) == 174
