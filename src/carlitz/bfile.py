@@ -49,6 +49,10 @@ def parse_bfile_lines(lines: Iterable[str]) -> list[BFileEntry]:
 
 
 def read_bfile(path: str | Path) -> list[BFileEntry]:
-    """Read and parse a b-file from disk."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and parse a b-file from disk; bytes that are not UTF-8 are a
+    format error, like any other unreadable line."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BFileFormatError(f"byte {exc.start}: not UTF-8 text") from exc
     return parse_bfile_lines(text.splitlines())

@@ -7,10 +7,12 @@ appear in increasing symbol order, so each equivalence class of words
 under symbol relabeling has exactly one ordered representative.  Symbols
 are the consecutive integers 0, 1, 2, ... and a word is a tuple of them.
 
-Three independent counting engines live here:
+Three independent counting engines live here, besides the literal
+backtracking generator enumerate_ordered_carlitz:
 
-* count_ordered_carlitz -- pruned backtracking (adjacent-equal pruning
-  plus the smallest-unused-symbol rule for introducing new symbols);
+* count_ordered_carlitz -- forward DP by letters placed, whose state is
+  the count vector of used non-last symbols by copies left, the last
+  symbol's copies left and the index of the next unused symbol;
 * count_carlitz_total   -- memoized dynamic programming over the profile
   of remaining multiplicities, which collapses symbols by symmetry;
 * count_carlitz_by_filter -- generate *all* multiset permutations and
@@ -25,9 +27,9 @@ from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
 
-#: Largest total word length the enumeration-based operations accept by
-#: default.  Big enough for every uniform multiset whose ordered words
-#: can realistically be enumerated; override per call where needed.
+#: Largest total word length the enumeration and the two counting DPs
+#: accept by default.  Big enough for every uniform multiset whose ordered
+#: words can realistically be enumerated; override per call where needed.
 DEFAULT_SYMBOL_LIMIT = 24
 
 #: Default ceiling for the naive filter oracle, which touches every
@@ -36,7 +38,7 @@ DEFAULT_FILTER_LIMIT = 14
 
 
 class SizeLimitError(RuntimeError):
-    """An enumeration-based operation refused an input above its size bound."""
+    """A word oracle refused an input above its size bound."""
 
 
 @dataclass(frozen=True)
@@ -163,32 +165,38 @@ def count_ordered_carlitz(
 ) -> int:
     """Number of ordered Carlitz words over mv.
 
-    Same search as enumerate_ordered_carlitz but without materializing
-    words, and the last letter is counted in place instead of placed.
-    Agrees with the generator's yield count by construction.
+    Forward DP by letters placed, with no recursion and no enumeration.
+    A prefix's state is (c, last, next_new): c[r-1] counts the used
+    symbols other than the last one placed that have r copies left,
+    `last` is that last symbol's copies left, and next_new is the index
+    of the smallest unused symbol.  Prefixes with equal states have equal
+    completion counts, because any two used symbols with the same copies
+    left can be swapped.  The next letter is one of the c[r-1] used
+    symbols of class r (weight c[r-1]) or symbol next_new (weight 1);
+    either way the previous last symbol rejoins its class.  Unused
+    symbols enter in index order, so heterogeneous vectors count
+    correctly.  The steps are polynomial in the word length.
     """
     _check_limit(mv, limit, "ordered counting")
-    rem = list(mv.mults)
-    nsym = len(rem)
-    if mv.total == 0:
-        return 1
-
-    def rec(last: int, next_new: int, left: int) -> int:
-        if left == 1:
-            # The one letter left is always placeable (if new, it is the
-            # only unused symbol) unless it repeats the last one placed.
-            return 0 if last >= 0 and rem[last] == 1 else 1
-        total = 0
-        top = min(next_new, nsym - 1)
-        for sym in range(top + 1):
-            if sym == last or rem[sym] == 0:
-                continue
-            rem[sym] -= 1
-            total += rec(sym, next_new + (sym == next_new), left - 1)
-            rem[sym] += 1
-        return total
-
-    return rec(-1, 0, mv.total)
+    mults = mv.mults
+    layer = {((0,) * max(mults, default=0), 0, 0): 1}
+    for _ in range(mv.total):
+        grown: dict[tuple[tuple[int, ...], int, int], int] = {}
+        for (c, last, next_new), ways in layer.items():
+            rejoined = list(c)
+            if last:
+                rejoined[last - 1] += 1
+            for r, n_r in enumerate(c, 1):
+                if n_r:
+                    after = rejoined.copy()
+                    after[r - 1] -= 1
+                    key = (tuple(after), r - 1, next_new)
+                    grown[key] = grown.get(key, 0) + ways * n_r
+            if next_new < len(mults):
+                key = (tuple(rejoined), mults[next_new] - 1, next_new + 1)
+                grown[key] = grown.get(key, 0) + ways
+        layer = grown
+    return sum(layer.values())
 
 
 def count_carlitz_total(

@@ -342,6 +342,15 @@ class TestOeisCheck:
         r = run(runner, "oeis-check", bad, "--k", 2)
         assert r.exit_code == 2
 
+    def test_non_utf8_file_exits_2_without_traceback(self, runner, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x00\x01")
+        r = run(runner, "oeis-check", bad, "--k", 2)
+        assert r.exit_code == 2
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert r.stdout == ""
+        assert r.stderr == "malformed b-file: byte 0: not UTF-8 text\n"
+
     def test_offset_shifts_comparison(self, runner, tmp_path):
         shifted = tmp_path / "shifted.txt"
         shifted.write_text("5 1\n6 0\n7 2\n8 30\n", encoding="utf-8")

@@ -112,6 +112,23 @@ def test_heterogeneous_q_r_match_oracle_k4():
         assert s.r == count_ordered_carlitz(MultiplicityVector.prefixed(2, 4, s.n))
 
 
+def test_every_state_matches_oracle_at_large_n():
+    """Every state the engines emit, far past what enumeration reaches:
+    the word oracle's DP is polynomial, so no limit is needed."""
+    def oracle(mv):
+        return count_ordered_carlitz(mv, limit=None)
+
+    for n in range(101):
+        assert a2_prime_rec(n) == oracle(MultiplicityVector.uniform(2, n))
+    for s in a3_prime_coupled_range(30):
+        assert s.p == oracle(MultiplicityVector.uniform(3, s.n))
+        assert s.q == oracle(MultiplicityVector.prefixed(2, 3, s.n))
+    for s in a4_prime_coupled_range(16):
+        assert s.p == oracle(MultiplicityVector.uniform(4, s.n))
+        assert s.q == oracle(MultiplicityVector.prefixed(3, 4, s.n))
+        assert s.r == oracle(MultiplicityVector.prefixed(2, 4, s.n))
+
+
 def test_large_single_value_runs_iteratively():
     # Far beyond any recursion limit; also windowed, so this is cheap.
     value = a2_prime_rec(3000)

@@ -1,11 +1,15 @@
 """Tests for the word oracle: predicates, enumeration, and the three
 counting engines checked against one another."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlitz.exact import factorial, multinomial
+from carlitz.formulas import phi_count
 from carlitz.words import (
     MultiplicityVector,
     SizeLimitError,
@@ -121,9 +125,44 @@ def test_count_ordered_uniform_k2_row():
     *(MultiplicityVector.prefixed(c, k, n) for c in (1, 2, 3) for k in (1, 2, 3) for n in range(4)),
 ]), ids=lambda mv: ",".join(map(str, mv.mults)) or "empty")
 def test_count_ordered_matches_enumeration(mv):
-    """Counting the last letter in place gives the generator's yield count;
-    random heterogeneous vectors are test_enumerated_words_are_valid_and_counted's."""
+    """The DP gives the generator's yield count on uniform and prefixed
+    vectors up to 12 letters; every vector up to 11 letters is
+    test_count_ordered_matches_enumeration_up_to_11_letters's."""
     assert count_ordered_carlitz(mv) == sum(1 for _ in enumerate_ordered_carlitz(mv))
+
+
+def compositions(total: int):
+    """Every tuple of positive integers summing to total."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+def test_count_ordered_matches_enumeration_up_to_11_letters():
+    """The DP against the literal generator on every multiplicity vector
+    with at most 11 letters: 2048 vectors, heterogeneous and in every
+    symbol order."""
+    vectors = [MultiplicityVector(c) for t in range(12) for c in compositions(t)]
+    assert len(vectors) == 2048
+    for mv in vectors:
+        assert count_ordered_carlitz(mv) == sum(1 for _ in enumerate_ordered_carlitz(mv)), mv
+
+
+def test_ordered_counts_over_symbol_orders_sum_to_total():
+    """Each Carlitz word has one first-occurrence order, so summing the
+    ordered count over every permutation of the symbols gives the total
+    count: the DP against phi and the profile DP."""
+    rng = random.Random(20170)
+    for _ in range(200):
+        mults = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 5)))
+        orders = sum(
+            count_ordered_carlitz(MultiplicityVector(perm), limit=None)
+            for perm in itertools.permutations(mults)
+        )
+        assert orders == phi_count(mults), mults
+        assert orders == count_carlitz_total(MultiplicityVector(mults), limit=None), mults
 
 
 def test_count_total_known_values():
