@@ -2,7 +2,8 @@
 
 Format, applied bit-exactly: UTF-8 text; lines matching ^#.* are
 comments and ignored; every other line must match
-^\\s*(-?\\d+)\\s+(-?\\d+)\\s*$ (index and value).  Indices must be
+^\\s*(-?\\d+)\\s+(-?\\d+)\\s*$ (index and value), with \\d and \\s
+matching ASCII digits and whitespace only.  Indices must be
 strictly increasing down the file.  Anything else, including blank
 lines, is a format error, because a silently skipped line could hide a
 real mismatch.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-_DATA_LINE = re.compile(r"^\s*(-?\d+)\s+(-?\d+)\s*$")
+_DATA_LINE = re.compile(r"^\s*(-?\d+)\s+(-?\d+)\s*$", re.ASCII)
 
 
 class BFileFormatError(ValueError):

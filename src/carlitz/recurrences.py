@@ -14,19 +14,20 @@ and, for single-value queries, in window-bounded memory:
 
 Every division the recurrences promise to be exact (by 2, 3 and 2n) is
 checked; a remainder raises InexactDivisionError, because it would mean
-a recurrence coefficient is wrong.  The k = 4 system additionally
-verifies its first three states against the brute-force word oracle the
-first time it runs in a process, and every engine asserts that the
-counts it emits are nonnegative (intermediate combinations may dip
-below zero, emitted counts never legally can).
+a recurrence coefficient is wrong.  The first time an engine runs in a
+process, every count in its states 0..3 is compared with the word oracle,
+which catches a wrong step that still divides exactly.  Every engine also
+asserts that the counts it emits are nonnegative (intermediate
+combinations may dip below zero, emitted counts never legally can).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterator
+from itertools import chain, islice
+from operator import attrgetter
+from typing import Callable, Iterator, TypeVar
 
 from .exact import InexactDivisionError, exact_div
 from .words import MultiplicityVector, count_ordered_carlitz
@@ -72,6 +73,56 @@ def _count(value: int, label: str, n: int) -> int:
     return value
 
 
+S = TypeVar("S")
+Counts = Callable[[S], tuple[int, ...]]
+_oracle_checked: set[str] = set()  # engines that matched the oracle so far
+
+
+def _checked(name: str, k: int, states: Iterator[S], counts: Counts) -> Iterator[S]:
+    """states, its first four compared with the word oracle once per process.
+
+    counts(state) is (p,), (p, q) or (p, q, r): the ordered Carlitz counts of
+    1^k..n^k, 0^(k-1),1^k..n^k and 0^(k-2),1^k..n^k (at most 15 letters).
+    The engine's own steps run first, so an inexact one raises before this.
+    """
+    if name in _oracle_checked:
+        return states
+    head = list(islice(states, 4))
+    got = [counts(s) for s in head]
+    zeros = ([], [k - 1], [k - 2])[: len(got[0])]  # copies of 0 for p, q, r
+    expected = [
+        tuple(count_ordered_carlitz(MultiplicityVector(z + [k] * n)) for z in zeros)
+        for n in range(len(got))
+    ]
+    if got != expected:
+        raise SelfCheckError(
+            f"{name} disagrees with the word oracle on states 0..3: "
+            f"recurrence {got}, oracle {expected}"
+        )
+    _oracle_checked.add(name)
+    return chain(head, states)
+
+
+def _nth(states: Iterator[S], n: int) -> S:
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    return next(islice(states, n, None))
+
+
+def _upto(states: Iterator[S], n_max: int) -> list[S]:
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    return list(islice(states, n_max + 1))
+
+
+def _p(value: int) -> tuple[int]:
+    return (value,)
+
+
+_pq = attrgetter("p", "q")
+_pqr = attrgetter("p", "q", "r")
+
+
 def _iter_a2_prime() -> Iterator[int]:
     p_prev, p = 1, 0
     yield _count(p_prev, "a'_2", 0)
@@ -85,16 +136,12 @@ def _iter_a2_prime() -> Iterator[int]:
 
 def a2_prime_rec(n: int) -> int:
     """a'_2(n) by the three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return next(islice(_iter_a2_prime(), n, None))
+    return _nth(_checked("a'_2", 2, _iter_a2_prime(), _p), n)
 
 
 def a2_prime_range(n_max: int) -> list[int]:
     """[a'_2(0), ..., a'_2(n_max)] by p_{n+1} = (2n+1) p_n + p_{n-1}."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    return list(islice(_iter_a2_prime(), n_max + 1))
+    return _upto(_checked("a'_2", 2, _iter_a2_prime(), _p), n_max)
 
 
 # Seam for fault-injection tests: one k=3 step, advancing q to index n
@@ -125,16 +172,12 @@ def a3_prime_coupled(n: int) -> CoupledState3:
     Initial conditions p_0 = 1, p_1 = 0, q_0 = 0; each step computes
     q_n from p_n and q_{n-1}, then p_{n+1} with a checked halving.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return next(islice(_iter_coupled3(), n, None))
+    return _nth(_checked("k=3 coupled", 3, _iter_coupled3(), _pq), n)
 
 
 def a3_prime_coupled_range(n_max: int) -> list[CoupledState3]:
     """States 0..n_max of the k=3 coupled system."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    return list(islice(_iter_coupled3(), n_max + 1))
+    return _upto(_checked("k=3 coupled", 3, _iter_coupled3(), _pq), n_max)
 
 
 # Seam for fault-injection tests: one four-term step, returning p_{n+1}
@@ -184,16 +227,13 @@ def a3_prime_fourterm(n: int, rational: bool = False) -> int:
     used; rational=True evaluates the original fractional coefficients
     instead, as an independent second implementation.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return next(islice(_iter_fourterm(rational), n, None))
+    return _nth(_checked(f"four-term {rational=}", 3, _iter_fourterm(rational), _p), n)
 
 
 def a3_prime_fourterm_range(n_max: int, rational: bool = False) -> list[int]:
     """[a'_3(0), ..., a'_3(n_max)] by the four-term recurrence."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    return list(islice(_iter_fourterm(rational), n_max + 1))
+    states = _checked(f"four-term {rational=}", 3, _iter_fourterm(rational), _p)
+    return _upto(states, n_max)
 
 
 # Seam for fault-injection tests: one k=4 step, advancing r and q to
@@ -212,43 +252,7 @@ def _coupled4_step(
     return r, q, p_next
 
 
-_k4_checked = False
-
-
-def _self_check_k4() -> None:
-    """Check the k=4 system's first states against the word oracle.
-
-    Runs once per process before any k=4 recurrence result is returned.
-    The oracle instances are tiny (at most 11 letters), so this costs
-    milliseconds.  A mismatch means the recurrence or its evaluation
-    order is wrong and raises SelfCheckError with the full state.
-    """
-    global _k4_checked
-    if _k4_checked:
-        return
-    p_prev, p, q_prev, r_prev = 1, 0, 0, 0
-    got = {0: (1, 0, 0)}
-    for n in (1, 2):
-        r, q, p_next = _coupled4_step(n, p_prev, p, q_prev, r_prev)
-        got[n] = (p, q, r)
-        p_prev, p, q_prev, r_prev = p, p_next, q, r
-    for n in (0, 1, 2):
-        expected = (
-            count_ordered_carlitz(MultiplicityVector.uniform(4, n)),
-            count_ordered_carlitz(MultiplicityVector.prefixed(3, 4, n)),
-            count_ordered_carlitz(MultiplicityVector.prefixed(2, 4, n)),
-        )
-        if got[n] != expected:
-            raise SelfCheckError(
-                f"k=4 recurrence disagrees with word oracle at n={n}: "
-                f"recurrence (p,q,r)={got[n]}, oracle (p,q,r)={expected}; "
-                f"all recurrence states {got}"
-            )
-    _k4_checked = True
-
-
 def _iter_coupled4() -> Iterator[CoupledState4]:
-    _self_check_k4()
     yield CoupledState4(0, 1, 0, 0)
     p_prev, p, q_prev, r_prev = 1, 0, 0, 0
     n = 1
@@ -269,19 +273,14 @@ def a4_prime_coupled(n: int) -> CoupledState4:
 
     Initial conditions p_0 = 1, p_1 = 0, q_0 = 0, r_0 = 0; per step the
     updates run r, then q (checked halving), then p (checked division
-    by 3).  The first call in a process self-checks n <= 2 against the
-    word oracle.
+    by 3).  Like every engine, it checks states 0..3 with the word oracle once.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return next(islice(_iter_coupled4(), n, None))
+    return _nth(_checked("k=4 coupled", 4, _iter_coupled4(), _pqr), n)
 
 
 def a4_prime_coupled_range(n_max: int) -> list[CoupledState4]:
     """States 0..n_max of the k=4 coupled system."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    return list(islice(_iter_coupled4(), n_max + 1))
+    return _upto(_checked("k=4 coupled", 4, _iter_coupled4(), _pqr), n_max)
 
 
 def prime(k: int, n: int) -> int:

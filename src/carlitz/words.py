@@ -22,6 +22,7 @@ backtracking generator enumerate_ordered_carlitz:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -45,14 +46,18 @@ class SizeLimitError(RuntimeError):
 class MultiplicityVector:
     """Per-symbol copy counts: mults[i] is the multiplicity of symbol i.
 
-    All multiplicities are >= 1.  The empty vector describes the empty
-    word (count 1).
+    All multiplicities are integers >= 1.  The empty vector describes the
+    empty word (count 1).
     """
 
     mults: tuple[int, ...]
 
     def __init__(self, mults: Sequence[int] = ()):
-        object.__setattr__(self, "mults", tuple(int(m) for m in mults))
+        try:
+            values = tuple(map(operator.index, mults))
+        except TypeError:
+            raise ValueError(f"multiplicities must be integers, got {mults}") from None
+        object.__setattr__(self, "mults", values)
         if any(m < 1 for m in self.mults):
             raise ValueError(f"multiplicities must be >= 1, got {self.mults}")
 

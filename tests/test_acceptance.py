@@ -261,7 +261,7 @@ def test_criterion_5_divisibility_and_fault_injection(capsys, monkeypatch):
             return r, q, p_next
 
         monkeypatch.setattr(recurrences, "_coupled4_step", broken4)
-        monkeypatch.setattr(recurrences, "_k4_checked", True)
+        monkeypatch.setattr(recurrences, "_oracle_checked", {"k=4 coupled"})
         try:
             recurrences.a4_prime_coupled(10)
             raise AssertionError("flipped k=4 coefficient went unnoticed")

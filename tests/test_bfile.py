@@ -44,6 +44,9 @@ def test_empty_input():
         "",
         "   ",
         "1, 2",
+        "1 ٣٠",
+        "٤ 1",
+        "0\u00a01",
     ],
 )
 def test_malformed_lines_raise(bad):

@@ -176,7 +176,7 @@ def test_coupled4_rejects_flipped_coefficient(monkeypatch):
         return r, q, p_next
 
     monkeypatch.setattr(recurrences, "_coupled4_step", broken)
-    monkeypatch.setattr(recurrences, "_k4_checked", True)
+    monkeypatch.setattr(recurrences, "_oracle_checked", {"k=4 coupled"})
     with pytest.raises(InexactDivisionError):
         a4_prime_coupled(10)
 
@@ -190,7 +190,7 @@ def test_self_check_catches_wrong_k4_step(monkeypatch):
         return r, q, p
 
     monkeypatch.setattr(recurrences, "_coupled4_step", broken)
-    monkeypatch.setattr(recurrences, "_k4_checked", False)
+    monkeypatch.setattr(recurrences, "_oracle_checked", set())
     with pytest.raises(SelfCheckError):
         a4_prime_coupled(5)
 
@@ -204,3 +204,67 @@ def test_negative_emitted_count_is_rejected(monkeypatch):
     monkeypatch.setattr(recurrences, "_coupled3_step", broken)
     with pytest.raises(SelfCheckError):
         a3_prime_coupled(3)
+
+
+def _wrong_a2_stream():
+    return iter([1, 0, 1, 6])  # a'_2(3) is 5
+
+
+def _wrong_coupled3_step(n, p_prev, p, q_prev):
+    q = (3 * n + 2) * p + 2 * q_prev + 2 * p
+    p_next = exact_div((3 * n + 3) * q - 2 * (3 * n + 1) * p + 2 * p_prev, 2)
+    return q, p_next
+
+
+def _wrong_fourterm_step(n, p_back2, p_back1, p):
+    num = (
+        (9 * n**3 + 9 * n**2 + 8 * n + 4) * p
+        + (12 * n**2 + 6 * n - 8) * p_back1
+        - (4 * n + 4) * p_back2
+        + 2 * n * p
+    )
+    return exact_div(num, 2 * n)
+
+
+def _wrong_coupled4_step(n, p_prev, p, q_prev, r_prev):
+    r = (4 * n + 2) * p + 3 * q_prev
+    q = exact_div((4 * n + 6) * r + 6 * r_prev - (16 * n + 6) * p, 2)
+    return r, q, p
+
+
+@pytest.mark.parametrize(
+    "seam, wrong, call",
+    [
+        ("_iter_a2_prime", _wrong_a2_stream, lambda: a2_prime_rec(3)),
+        ("_coupled3_step", _wrong_coupled3_step, lambda: a3_prime_coupled(6)),
+        ("_fourterm_step", _wrong_fourterm_step, lambda: a3_prime_fourterm(3)),
+        ("_coupled4_step", _wrong_coupled4_step, lambda: a4_prime_coupled(5)),
+    ],
+    ids=["k2", "k3-coupled", "k3-fourterm", "k4-coupled"],
+)
+def test_every_engine_catches_exactly_dividing_wrong_step(
+    monkeypatch, seam, wrong, call
+):
+    # Each wrong step keeps every division exact, so only the comparison
+    # of states 0..3 with the word oracle can notice it.
+    monkeypatch.setattr(recurrences, seam, wrong)
+    monkeypatch.setattr(recurrences, "_oracle_checked", set())
+    with pytest.raises(SelfCheckError):
+        call()
+
+
+def test_oracle_runs_once_per_engine(monkeypatch):
+    calls = []
+    real = recurrences.count_ordered_carlitz
+
+    def counting(mv, *args, **kwargs):
+        calls.append(mv)
+        return real(mv, *args, **kwargs)
+
+    monkeypatch.setattr(recurrences, "count_ordered_carlitz", counting)
+    monkeypatch.setattr(recurrences, "_oracle_checked", set())
+    a3_prime_coupled(40)
+    assert len(calls) == 4 * 2
+    a3_prime_coupled_range(40)
+    recurrences.prime(3, 40)
+    assert len(calls) == 4 * 2

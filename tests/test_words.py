@@ -47,6 +47,12 @@ class TestMultiplicityVector:
         with pytest.raises(ValueError):
             MultiplicityVector.uniform(2, -1)
 
+    def test_rejects_non_integer_multiplicities(self):
+        for bad in ((2.7, 3), (2.0, 3), ("2", 3)):
+            with pytest.raises(ValueError):
+                MultiplicityVector(bad)
+        assert MultiplicityVector((True, 2)).mults == (1, 2)
+
     def test_empty_vector_is_the_empty_word(self):
         mv = MultiplicityVector(())
         assert mv.total == 0
