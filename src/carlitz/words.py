@@ -13,8 +13,8 @@ backtracking generator enumerate_ordered_carlitz:
 * count_ordered_carlitz -- forward DP by letters placed, whose state is
   the count vector of used non-last symbols by copies left, the last
   symbol's copies left and the index of the next unused symbol;
-* count_carlitz_total   -- memoized dynamic programming over the profile
-  of remaining multiplicities, which collapses symbols by symmetry;
+* count_carlitz_total   -- memoized DP over the same state less the
+  next unused symbol, since every symbol is in its class from the start;
 * count_carlitz_by_filter -- generate *all* multiset permutations and
   filter with the predicate; deliberately unclever, used as the second
   oracle in tests.
@@ -209,38 +209,37 @@ def count_carlitz_total(
 ) -> int:
     """Total number of Carlitz words over mv (no ordering constraint).
 
-    Memoized DP.  The state is the sorted profile of remaining
-    multiplicities of all symbols other than the last one placed, plus
-    the remaining multiplicity of that last symbol: two positions whose
-    states agree up to symbol relabeling have equal completion counts,
-    which keeps the state space tiny for uniform multisets.
+    Memoized DP over count_ordered_carlitz's (c, last) state, starting
+    from mv's histogram with last = 0: every symbol is in its class from
+    the start, so there is no next unused symbol.  Each step makes the
+    used-symbol move of the ordered DP; no copies left counts 1.  The
+    memo is a plain dict with one recursive call per letter, because
+    functools.cache's C wrapper halves the recursion headroom.
     """
     _check_limit(mv, limit, "total counting")
     memo: dict[tuple[tuple[int, ...], int], int] = {}
 
-    def f(profile: tuple[int, ...], last_rem: int) -> int:
-        if not profile:
-            return 1 if last_rem == 0 else 0
-        key = (profile, last_rem)
+    def f(c: tuple[int, ...], last: int) -> int:
+        if not any(c):
+            return 0 if last else 1
+        key = (c, last)
         cached = memo.get(key)
         if cached is not None:
             return cached
+        rejoined = list(c)
+        if last:
+            rejoined[last - 1] += 1
         total = 0
-        prev = -1
-        for i, c in enumerate(profile):
-            if c == prev:
-                continue
-            prev = c
-            g = profile.count(c)
-            rest = list(profile[:i] + profile[i + 1 :])
-            if last_rem:
-                rest.append(last_rem)
-                rest.sort()
-            total += g * f(tuple(rest), c - 1)
+        for r, n_r in enumerate(c, 1):
+            if n_r:
+                after = rejoined.copy()
+                after[r - 1] -= 1
+                total += n_r * f(tuple(after), r - 1)
         memo[key] = total
         return total
 
-    return f(tuple(sorted(mv.mults)), 0)
+    histogram = [mv.mults.count(r) for r in range(1, max(mv, default=0) + 1)]
+    return f(tuple(histogram), 0)
 
 
 def count_carlitz_by_filter(

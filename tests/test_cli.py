@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line surface via CliRunner."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carlitz import formulas, recurrences, words
 from carlitz.cli import main, resolve
@@ -57,6 +60,28 @@ def test_route_resolution_grid(runner, k, ordered, method):
     flag = ["--ordered"] if ordered else []
     r = run(runner, "count", "--k", k, "--n", 2, "--method", method, *flag)
     assert r.exit_code == (0 if supported else 2), r.output
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    n=st.integers(0, 8),
+    method=st.sampled_from(["auto", "brute", "incl-excl", "phi", "recurrence"]),
+    ordered=st.booleans(),
+    limit=st.integers(0, 40),
+)
+def test_count_grid_matches_phi(k, n, method, ordered, limit):
+    flag = ["--ordered"] if ordered else []
+    r = run(CliRunner(), "count", "--k", k, "--n", n, "--method", method,
+            "--limit", limit, *flag)
+    assert r.exit_code in (0, 2, 3), r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    if r.exit_code == 0:
+        total = formulas.phi_count((k,) * n)
+        expected = total // math.factorial(n) if ordered else total
+        assert r.stdout == f"{expected}\n"
+    if r.exit_code == 3:
+        assert k * n > limit
 
 
 class TestCount:
@@ -145,6 +170,14 @@ class TestCount:
         assert ok.exit_code == 0
         expected = run(runner, "count", "--k", 2, "--n", 13)
         assert ok.output == expected.output
+
+    def test_deep_total_count_keeps_recursion_headroom(self, runner):
+        # 800 letters: the total-count memo recurses once per letter, so a
+        # memo wrapper that costs frames of its own would overflow here.
+        r = run(runner, "count", "--k", 2, "--n", 400, "--method", "brute",
+                "--limit", 800)
+        assert r.exit_code == 0, r.output
+        assert r.stdout == run(runner, "count", "--k", 2, "--n", 400).stdout
 
     def test_prints_values_beyond_default_digit_limit(self, runner):
         # a_2(1500) has 8679 digits, past the interpreter's default
