@@ -24,7 +24,7 @@ import click
 from . import formulas, recurrences, words
 from .bfile import BFileFormatError, read_bfile
 from .exact import exact_div, factorial
-from .words import DEFAULT_SYMBOL_LIMIT, MultiplicityVector, SizeLimitError
+from .words import DEFAULT_SYMBOL_LIMIT, MultiplicityVector
 
 METHODS = ("brute", "incl-excl", "phi", "recurrence")
 
@@ -46,7 +46,7 @@ class Route(NamedTuple):
     supports: Callable[[int, bool], bool]  # (k, ordered) -> usable?
     ordered: bool  # counts ordered words natively
     sized: bool  # refused past --limit letters
-    point: Callable[[int, int, int], int]  # (k, n, limit) -> count
+    point: Callable[[int, int], int]  # (k, n) -> count
     range: Callable[[int, int], list[int]] | None = None  # (k, n_max) -> counts
     refusal: str = ""  # usage error when supports() is false; may use {k}
 
@@ -56,24 +56,24 @@ class Route(NamedTuple):
 #: supports k.
 ROUTES = (
     Route("incl-excl", lambda k, ordered: 1 <= k <= 4, False, False,
-          lambda k, n, limit: formulas.inclusion_exclusion(k, n),
+          lambda k, n: formulas.inclusion_exclusion(k, n),
           lambda k, n_max: formulas.inclusion_exclusion_range(k, n_max),
           "incl-excl supports k=1..4 only, not k={k}"),
     Route("recurrence", lambda k, ordered: 2 <= k <= 4, True, False,
-          lambda k, n, limit: recurrences.prime(k, n),
+          lambda k, n: recurrences.prime(k, n),
           lambda k, n_max: recurrences.prime_range(k, n_max),
           "recurrence supports k=2,3,4 only, not k={k}"),
     Route("four-term", lambda k, ordered: k == 3, True, False,
-          lambda k, n, limit: recurrences.a3_prime_fourterm(n),
+          lambda k, n: recurrences.a3_prime_fourterm(n),
           lambda k, n_max: recurrences.a3_prime_fourterm_range(n_max)),
     Route("phi", lambda k, ordered: k == 4 and not ordered, False, False,
-          lambda k, n, limit: formulas.phi_count((k,) * n),
+          lambda k, n: formulas.phi_count((k,) * n),
           lambda k, n_max: formulas.phi_count_range(k, n_max),
           "phi supports only k=4 unordered counts"),
     Route("brute", lambda k, ordered: True, False, True,
-          lambda k, n, limit: words.count_carlitz_total(MultiplicityVector.uniform(k, n), limit=limit)),
+          lambda k, n: words.count_carlitz_total(MultiplicityVector.uniform(k, n))),
     Route("brute-ordered", lambda k, ordered: True, True, True,
-          lambda k, n, limit: words.count_ordered_carlitz(MultiplicityVector.uniform(k, n), limit=limit)),
+          lambda k, n: words.count_ordered_carlitz(MultiplicityVector.uniform(k, n))),
 )
 _BY_NAME = {route.name: route for route in ROUTES}
 
@@ -107,29 +107,25 @@ def _orient(value: int, n: int, native_ordered: bool, ordered: bool) -> int:
     return factorial(n) * value
 
 
+def _refuse_oversized(route: Route, k: int, n: int, limit: int) -> None:
+    """Exit 3 if a size-limited route would count words past --limit letters."""
+    if route.sized and k * n > limit:
+        what = "ordered" if route.ordered else "total"
+        click.echo(f"refused: {what} counting refused: total length {k * n} exceeds limit {limit}", err=True)
+        sys.exit(3)
+
+
 def _values(route: Route, k: int, n_max: int, ordered: bool, limit: int) -> list[int]:
     """Values for n = 0..n_max; routes with a range callable advance incrementally."""
-    if route.sized and k * n_max > limit:
-        route.point(k, limit // k + 1, limit)  # the first n past the limit refuses at once
+    _refuse_oversized(route, k, min(n_max, limit // k + 1), limit)  # before any n is computed
     if route.range is not None:
         raw = route.range(k, n_max)
     else:
-        raw = [route.point(k, n, limit) for n in range(n_max + 1)]
+        raw = [route.point(k, n) for n in range(n_max + 1)]
     return [_orient(v, n, route.ordered, ordered) for n, v in enumerate(raw)]
 
 
-class _Main(click.Group):
-    """The `carlitz` group: a size-limit refusal from any command exits 3."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except SizeLimitError as exc:
-            click.echo(f"refused: {exc}", err=True)
-            sys.exit(3)
-
-
-@click.group(cls=_Main)
+@click.group()
 def main():
     """Count Carlitz words (no two adjacent symbols equal) over k copies
     each of n symbols, by brute force, inclusion-exclusion, factorial
@@ -151,7 +147,8 @@ def count(k: int, n: int, ordered: bool, method: str, trace: bool, limit: int):
     """Print one exact count."""
     if not trace:
         route = resolve(k, ordered, method)
-        click.echo(str(_orient(route.point(k, n, limit), n, route.ordered, ordered)))
+        _refuse_oversized(route, k, n, limit)
+        click.echo(str(_orient(route.point(k, n), n, route.ordered, ordered)))
         return
     if method not in ("auto", "incl-excl"):
         raise click.UsageError("--trace is only available for --method incl-excl")

@@ -18,6 +18,9 @@ backtracking generator enumerate_ordered_carlitz:
 * count_carlitz_by_filter -- generate *all* multiset permutations and
   filter with the predicate; deliberately unclever, used as the second
   oracle in tests.
+
+Only the enumeration and the filter, which are exponential, refuse inputs
+above a size limit; the two DPs are polynomial and take any size.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
 
-#: Largest total word length the enumeration and the two counting DPs
-#: accept by default.  Big enough for every uniform multiset whose ordered
-#: words can realistically be enumerated; override per call where needed.
+#: Largest total word length the enumeration accepts by default, and the
+#: command line's default --limit.  Big enough for every uniform multiset
+#: whose ordered words can realistically be enumerated; override per call
+#: where needed.
 DEFAULT_SYMBOL_LIMIT = 24
 
 #: Default ceiling for the naive filter oracle, which touches every
@@ -165,9 +169,7 @@ def enumerate_ordered_carlitz(
         yield from rec(-1, 0, mv.total)
 
 
-def count_ordered_carlitz(
-    mv: MultiplicityVector, limit: int | None = DEFAULT_SYMBOL_LIMIT
-) -> int:
+def count_ordered_carlitz(mv: MultiplicityVector) -> int:
     """Number of ordered Carlitz words over mv.
 
     Forward DP by letters placed, with no recursion and no enumeration.
@@ -182,7 +184,6 @@ def count_ordered_carlitz(
     symbols enter in index order, so heterogeneous vectors count
     correctly.  The steps are polynomial in the word length.
     """
-    _check_limit(mv, limit, "ordered counting")
     mults = mv.mults
     layer = {((0,) * max(mults, default=0), 0, 0): 1}
     for _ in range(mv.total):
@@ -204,9 +205,7 @@ def count_ordered_carlitz(
     return sum(layer.values())
 
 
-def count_carlitz_total(
-    mv: MultiplicityVector, limit: int | None = DEFAULT_SYMBOL_LIMIT
-) -> int:
+def count_carlitz_total(mv: MultiplicityVector) -> int:
     """Total number of Carlitz words over mv (no ordering constraint).
 
     Memoized DP over count_ordered_carlitz's (c, last) state, starting
@@ -216,7 +215,6 @@ def count_carlitz_total(
     memo is a plain dict with one recursive call per letter, because
     functools.cache's C wrapper halves the recursion headroom.
     """
-    _check_limit(mv, limit, "total counting")
     memo: dict[tuple[tuple[int, ...], int], int] = {}
 
     def f(c: tuple[int, ...], last: int) -> int:

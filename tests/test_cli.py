@@ -77,11 +77,141 @@ def test_count_grid_matches_phi(k, n, method, ordered, limit):
     assert r.exit_code in (0, 2, 3), r.output
     assert r.exception is None or isinstance(r.exception, SystemExit)
     if r.exit_code == 0:
-        total = formulas.phi_count((k,) * n)
-        expected = total // math.factorial(n) if ordered else total
-        assert r.stdout == f"{expected}\n"
+        assert r.stdout == f"{phi_value(k, n, ordered)}\n"
     if r.exit_code == 3:
         assert k * n > limit
+
+
+def phi_value(k, n, ordered):
+    total = formulas.phi_count((k,) * n)
+    return total // math.factorial(n) if ordered else total
+
+
+def brute_past_limit(k, n, ordered, method, limit):
+    """True iff the CLI must refuse: a brute route asked for k*n > limit."""
+    try:
+        route = resolve(k, ordered, method)
+    except ValueError:
+        return False
+    return route.sized and k * n > limit
+
+
+def assert_clean_exit(r):
+    """An exit code from the documented set, no escaping exception, and
+    one explaining stderr line for exits 2 and 3.  Click's usage errors
+    put that line after a fixed Usage/Try preamble."""
+    assert r.exit_code in (0, 1, 2, 3), r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), r.exception
+    if r.exit_code in (2, 3):
+        lines = r.stderr.splitlines()
+        if lines and lines[0].startswith("Usage: "):
+            assert lines[1].startswith("Try ") and lines[2] == "", r.stderr
+            lines = lines[3:]
+        assert len(lines) == 1, r.stderr
+
+
+@pytest.mark.parametrize("args,stderr", [
+    (("count", "--k", 3, "--n", 9, "--method", "brute"),
+     "refused: total counting refused: total length 27 exceeds limit 24\n"),
+    (("count", "--k", 2, "--n", 13, "--ordered", "--method", "brute"),
+     "refused: ordered counting refused: total length 26 exceeds limit 24\n"),
+    # A range is refused at its first n past the limit, before any n runs.
+    (("table", "--k", 3, "--n-max", 9, "--method", "brute"),
+     "refused: total counting refused: total length 27 exceeds limit 24\n"),
+])
+def test_brute_refusal_is_pinned(runner, args, stderr):
+    r = run(runner, *args)
+    assert (r.exit_code, r.stdout, r.stderr) == (3, "", stderr)
+
+
+def test_brute_within_default_limit_runs(runner):
+    r = run(runner, "count", "--k", 2, "--n", 12, "--method", "brute")
+    assert (r.exit_code, r.stdout, r.stderr) == (0, f"{phi_value(2, 12, False)}\n", "")
+
+
+def table_rows(stdout, fmt):
+    if fmt == "json":
+        return [(row["n"], int(row["value"])) for row in json.loads(stdout)]
+    lines = stdout.splitlines()
+    if fmt == "csv":
+        assert lines[0] == "n,value"
+        return [tuple(map(int, line.split(","))) for line in lines[1:]]
+    return [tuple(map(int, line.split())) for line in lines]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    n_max=st.integers(0, 8),
+    method=st.sampled_from(["auto", "brute", "incl-excl", "phi", "recurrence"]),
+    ordered=st.booleans(),
+    fmt=st.sampled_from(["text", "csv", "json"]),
+    limit=st.integers(0, 40),
+)
+def test_table_grid_exits_cleanly(k, n_max, method, ordered, fmt, limit):
+    flag = ["--ordered"] if ordered else []
+    r = run(CliRunner(), "table", "--k", k, "--n-max", n_max, "--method", method,
+            "--format", fmt, "--limit", limit, *flag)
+    assert_clean_exit(r)
+    assert r.exit_code != 1
+    assert (r.exit_code == 3) == brute_past_limit(k, n_max, ordered, method, limit)
+    if r.exit_code == 0:
+        assert table_rows(r.stdout, fmt) == [
+            (n, phi_value(k, n, ordered)) for n in range(n_max + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 5), n_max=st.integers(0, 12), limit=st.integers(0, 20))
+def test_verify_grid_exits_cleanly(k, n_max, limit):
+    r = run(CliRunner(), "verify", "--k", k, "--n-max", n_max, "--limit", limit)
+    assert_clean_exit(r)
+    assert r.exit_code == (0 if 2 <= k <= 4 else 2), r.output
+
+
+@st.composite
+def bfiles(draw):
+    """(bytes, kind) of a b-file with indices in -1..8: empty, comment-only,
+    malformed, non-increasing, CRLF, not UTF-8, or a plain LF file."""
+    kind = draw(st.sampled_from(
+        ["empty", "comments", "malformed", "non-increasing", "crlf", "not-utf8", "lf"]))
+    if kind == "empty":
+        return b"", kind
+    if kind == "comments":
+        return b"# A000000\n#\n", kind
+    indices = sorted(draw(st.sets(st.integers(-1, 8), min_size=1, max_size=5)))
+    lines = [f"{i} {draw(st.integers(-2, 10**6))}" for i in indices]
+    if kind == "malformed":
+        bad = draw(st.sampled_from(["", "1", "1 2 3", "a b", "1 2x", " # 1 2"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    if kind == "non-increasing":
+        lines.append(draw(st.sampled_from(lines)))
+    text = "\r\n".join(lines) + "\r\n" if kind == "crlf" else "\n".join(lines) + "\n"
+    return text.encode() + (b"\xff\n" if kind == "not-utf8" else b""), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bfile=bfiles(),
+    k=st.integers(1, 6),
+    method=st.sampled_from(["auto", "brute", "incl-excl", "phi", "recurrence"]),
+    ordered=st.booleans(),
+    offset=st.integers(-1, 3),
+    limit=st.integers(0, 40),
+)
+def test_oeis_check_grid_exits_cleanly(bfile, k, method, ordered, offset, limit):
+    content, kind = bfile
+    flag = ["--ordered"] if ordered else []
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("b.txt").write_bytes(content)
+        r = run(runner, "oeis-check", "b.txt", "--k", k, "--method", method,
+                "--offset", offset, "--limit", limit, *flag)
+    assert_clean_exit(r)
+    if kind in ("malformed", "non-increasing", "not-utf8"):
+        assert r.exit_code == 2
+    if r.exit_code == 3:
+        last = int(content.split()[-2]) - offset
+        assert brute_past_limit(k, last, ordered, method, limit)
 
 
 class TestCount:
@@ -248,8 +378,7 @@ class TestTable:
         # past --limit before enumerating any smaller n.
         computed = []
 
-        def ordered_stub(mv, limit=words.DEFAULT_SYMBOL_LIMIT):
-            words._check_limit(mv, limit, "ordered counting")
+        def ordered_stub(mv):
             computed.append(mv.symbols)
             return recurrences.prime(4, mv.symbols)
 
@@ -294,11 +423,9 @@ class TestVerify:
 
     def test_limit_bounds_brute_columns_and_oracles(self, runner, monkeypatch):
         # At k=2 the brute columns reach n = 13 (26 letters), past the
-        # oracles' default size check of 24.  a'_2(13) is about 10^11
-        # words, so the enumerating oracle is replaced by a stub that
-        # keeps its size check; the DP column runs for real.
-        def ordered_stub(mv, limit=words.DEFAULT_SYMBOL_LIMIT):
-            words._check_limit(mv, limit, "ordered counting")
+        # default --limit of 24.  The ordered column is served by a stub
+        # and the total DP column runs for real.
+        def ordered_stub(mv):
             return recurrences.a2_prime_rec(mv.symbols)
 
         monkeypatch.setattr(words, "count_ordered_carlitz", ordered_stub)

@@ -164,11 +164,11 @@ def test_ordered_counts_over_symbol_orders_sum_to_total():
     for _ in range(200):
         mults = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 5)))
         orders = sum(
-            count_ordered_carlitz(MultiplicityVector(perm), limit=None)
+            count_ordered_carlitz(MultiplicityVector(perm))
             for perm in itertools.permutations(mults)
         )
         assert orders == phi_count(mults), mults
-        assert orders == count_carlitz_total(MultiplicityVector(mults), limit=None), mults
+        assert orders == count_carlitz_total(MultiplicityVector(mults)), mults
 
 
 def test_count_total_known_values():
@@ -178,20 +178,28 @@ def test_count_total_known_values():
 
 
 def test_size_limits_are_enforced():
+    # The DPs are polynomial and take any size: 25 letters, past the
+    # enumeration's default limit of 24, with no argument.
     big = MultiplicityVector.uniform(5, 5)
+    total = phi_count((5,) * 5)
+    assert count_ordered_carlitz(big) == total // factorial(5)
+    assert count_carlitz_total(big) == total
+    # The exponential oracles refuse by default...
     with pytest.raises(SizeLimitError):
-        count_ordered_carlitz(big)
-    with pytest.raises(SizeLimitError):
-        list(enumerate_ordered_carlitz(big))
-    with pytest.raises(SizeLimitError):
-        count_carlitz_total(big)
+        next(enumerate_ordered_carlitz(big))
     with pytest.raises(SizeLimitError):
         count_carlitz_by_filter(MultiplicityVector.uniform(3, 5))
-    # Explicit limits override the defaults, in both directions.
-    assert count_carlitz_total(big, limit=25) > 0
+    # ...and explicit limits override the defaults, in both directions.
+    for limit in (25, None):
+        first = next(enumerate_ordered_carlitz(big, limit=limit))
+        assert is_carlitz(first) and is_ordered(first, big)
     with pytest.raises(SizeLimitError):
-        count_carlitz_total(MultiplicityVector.uniform(2, 2), limit=3)
-    assert count_carlitz_total(big, limit=None) > 0
+        next(enumerate_ordered_carlitz(MultiplicityVector.uniform(2, 2), limit=3))
+    # 15 letters, past the filter's default of 14, yet only C(15, 7) words.
+    assert count_carlitz_by_filter(MultiplicityVector((8, 7)), limit=15) == 1
+    assert count_carlitz_by_filter(MultiplicityVector((8, 7)), limit=None) == 1
+    with pytest.raises(SizeLimitError):
+        count_carlitz_by_filter(MultiplicityVector.uniform(2, 2), limit=3)
 
 
 # Multiplicity vectors small enough for the naive filter: bounded total
