@@ -56,4 +56,6 @@ def read_bfile(path: str | Path) -> list[BFileEntry]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise BFileFormatError(f"byte {exc.start}: not UTF-8 text") from exc
-    return parse_bfile_lines(text.splitlines())
+    # Split at "\n" only; read_text() made "\r\n" and "\r" into "\n".
+    lines = text.split("\n")
+    return parse_bfile_lines(lines[:-1] if lines[-1] == "" else lines)

@@ -29,12 +29,12 @@ from .words import DEFAULT_SYMBOL_LIMIT, MultiplicityVector
 METHODS = ("brute", "incl-excl", "phi", "recurrence")
 
 #: Brute force joins `verify` only while the word multiset stays at most
-#: this long; beyond that enumeration would dominate the whole run.
+#: this long; beyond that the word DPs' cost would dominate the whole run.
 DEFAULT_VERIFY_BRUTE_LIMIT = 15
 
 
 class RouteError(click.UsageError, ValueError):
-    """A --method that cannot serve this k or orientation (exit 2)."""
+    """A --method that cannot serve this k (exit 2)."""
 
 
 class Route(NamedTuple):
@@ -43,58 +43,58 @@ class Route(NamedTuple):
     that replaces a module attribute changes what the route computes."""
 
     name: str
-    supports: Callable[[int, bool], bool]  # (k, ordered) -> usable?
+    ks: range | None  # the k it serves; None for every k
     ordered: bool  # counts ordered words natively
     sized: bool  # refused past --limit letters
-    point: Callable[[int, int], int]  # (k, n) -> count
+    point: Callable[[int, int], int] | None  # (k, n) -> count
     range: Callable[[int, int], list[int]] | None = None  # (k, n_max) -> counts
-    refusal: str = ""  # usage error when supports() is false; may use {k}
+
+    def serves(self, k: int) -> bool:
+        return self.ks is None or k in self.ks
 
 
 #: Every route, in `verify` column order.  `count`, `table` and
 #: `oeis-check` pick one through resolve(); `verify` uses each row that
-#: supports k.
+#: serves k.
 ROUTES = (
-    Route("incl-excl", lambda k, ordered: 1 <= k <= 4, False, False,
+    Route("incl-excl", range(1, 5), False, False,
           lambda k, n: formulas.inclusion_exclusion(k, n),
-          lambda k, n_max: formulas.inclusion_exclusion_range(k, n_max),
-          "incl-excl supports k=1..4 only, not k={k}"),
-    Route("recurrence", lambda k, ordered: 2 <= k <= 4, True, False,
+          lambda k, n_max: formulas.inclusion_exclusion_range(k, n_max)),
+    Route("recurrence", range(2, 5), True, False,
           lambda k, n: recurrences.prime(k, n),
-          lambda k, n_max: recurrences.prime_range(k, n_max),
-          "recurrence supports k=2,3,4 only, not k={k}"),
-    Route("four-term", lambda k, ordered: k == 3, True, False,
-          lambda k, n: recurrences.a3_prime_fourterm(n),
+          lambda k, n_max: recurrences.prime_range(k, n_max)),
+    Route("four-term", range(3, 4), True, False, None,
           lambda k, n_max: recurrences.a3_prime_fourterm_range(n_max)),
-    Route("phi", lambda k, ordered: k == 4 and not ordered, False, False,
+    Route("phi", range(4, 5), False, False,
           lambda k, n: formulas.phi_count((k,) * n),
-          lambda k, n_max: formulas.phi_count_range(k, n_max),
-          "phi supports only k=4 unordered counts"),
-    Route("brute", lambda k, ordered: True, False, True,
+          lambda k, n_max: formulas.phi_count_range(k, n_max)),
+    Route("brute", None, False, True,
           lambda k, n: words.count_carlitz_total(MultiplicityVector.uniform(k, n))),
-    Route("brute-ordered", lambda k, ordered: True, True, True,
+    Route("brute-ordered", None, True, True,
           lambda k, n: words.count_ordered_carlitz(MultiplicityVector.uniform(k, n))),
 )
 _BY_NAME = {route.name: route for route in ROUTES}
 
-#: `--method auto` takes the first of these that supports k.
+#: `--method auto` takes the first of these that serves k.
 AUTO = ("recurrence", "incl-excl", "brute")
 
 
 def resolve(k: int, ordered: bool, method: str) -> Route:
     """The route that `--method` names for k; RouteError if it cannot serve.
 
-    `auto` picks by AUTO; `brute --ordered` is the backtracking oracle.
+    `auto` picks by AUTO; `brute --ordered` is the forward count-vector DP.
     """
     if method == "auto":
-        method = next(m for m in AUTO if _BY_NAME[m].supports(k, ordered))
+        method = next(m for m in AUTO if _BY_NAME[m].serves(k))
     if method not in METHODS:
         raise RouteError(f"unknown method {method!r}")
     if method == "brute" and ordered:
         method = "brute-ordered"
     route = _BY_NAME[method]
-    if not route.supports(k, ordered):
-        raise RouteError(route.refusal.format(k=k))
+    if not route.serves(k):
+        lo, hi = route.ks[0], route.ks[-1]
+        span = lo if lo == hi else f"{lo}..{hi}"
+        raise RouteError(f"{method} supports k={span} only, not k={k}")
     return route
 
 
@@ -204,7 +204,7 @@ def verify(k: int, n_max: int, limit: int):
     """
     columns: dict[str, list[int]] = {}
     for route in ROUTES:
-        if route.supports(k, False):
+        if route.serves(k):
             top = min(n_max, limit // k) if route.sized else n_max
             label = f"{route.name}*n!" if route.ordered else route.name
             columns[label] = _values(route, k, top, False, limit)
@@ -242,28 +242,22 @@ def oeis_check(file: str, k: int, ordered: bool, offset: int, method: str, limit
     if not entries:
         click.echo("0/0 match")
         return
-    ns = [e.index - offset for e in entries]
-    if ns[0] < 0:
+    if entries[0].index < offset:
         click.echo(
             f"index {entries[0].index} with offset {offset} gives negative n",
             err=True,
         )
         sys.exit(2)
-    computed = _values(route, k, max(ns), ordered, limit)
-    matches = 0
-    first_bad = None
-    for entry, n in zip(entries, ns):
-        if computed[n] == entry.value:
-            matches += 1
-        elif first_bad is None:
-            first_bad = (entry, n)
-    if first_bad is None:
-        click.echo(f"{matches}/{len(entries)} match")
+    computed = _values(route, k, entries[-1].index - offset, ordered, limit)
+    bad = [e for e in entries if computed[e.index - offset] != e.value]
+    matched = f"{len(entries) - len(bad)}/{len(entries)} match"
+    if not bad:
+        click.echo(matched)
         return
-    entry, n = first_bad
+    entry = bad[0]
     click.echo(
-        f"{matches}/{len(entries)} match; first mismatch at index {entry.index}: "
-        f"file has {entry.value}, computed {computed[n]}"
+        f"{matched}; first mismatch at index {entry.index}: "
+        f"file has {entry.value}, computed {computed[entry.index - offset]}"
     )
     sys.exit(1)
 

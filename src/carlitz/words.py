@@ -20,7 +20,8 @@ backtracking generator enumerate_ordered_carlitz:
   oracle in tests.
 
 Only the enumeration and the filter, which are exponential, refuse inputs
-above a size limit; the two DPs are polynomial and take any size.
+above a size limit.  The two DPs have none, but count_carlitz_total
+recurses once per letter and raises RecursionError past ~990 letters.
 """
 
 from __future__ import annotations

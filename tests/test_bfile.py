@@ -73,3 +73,51 @@ def test_read_bfile_large_values(tmp_path):
     path = tmp_path / "b.txt"
     path.write_text(f"6 {big}\n", encoding="utf-8")
     assert read_bfile(path) == [BFileEntry(6, big)]
+
+
+#: Characters str.splitlines() breaks lines at, besides "\n" and "\r".
+#: Only "\v" and "\f" are ASCII whitespace to the data-line pattern.
+NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def read_text(tmp_path, text):
+    path = tmp_path / "b.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return read_bfile(path)
+
+
+@pytest.mark.parametrize("ch", NOT_NEWLINES)
+def test_comment_keeps_characters_that_are_not_newlines(tmp_path, ch):
+    assert read_text(tmp_path, f"# note{ch}3 31\n0 1\n") == [BFileEntry(0, 1)]
+
+
+@pytest.mark.parametrize("ch", NOT_NEWLINES)
+def test_data_line_keeps_characters_that_are_not_newlines(tmp_path, ch):
+    inner = f"2{ch}5"
+    trailing = f"2 5{ch}"
+    if ch in "\v\f":
+        assert read_text(tmp_path, f"0 1\n{inner}\n") == [BFileEntry(0, 1), BFileEntry(2, 5)]
+        assert read_text(tmp_path, f"0 1\n{trailing}") == [BFileEntry(0, 1), BFileEntry(2, 5)]
+        return
+    for line in (inner, trailing):
+        with pytest.raises(BFileFormatError) as exc:
+            read_text(tmp_path, f"0 1\n{line}\n")
+        assert str(exc.value) == f"line 2: not a b-file data line: {line!r}"
+
+
+@pytest.mark.parametrize("text,entries", [
+    ("# h\r\n0 1\r\n1 0\r\n", [BFileEntry(0, 1), BFileEntry(1, 0)]),
+    ("0 1\n1 0", [BFileEntry(0, 1), BFileEntry(1, 0)]),
+    ("0 1\r\n1 0", [BFileEntry(0, 1), BFileEntry(1, 0)]),
+    ("", []),
+    ("# only a comment\n", []),
+])
+def test_line_endings(tmp_path, text, entries):
+    assert read_text(tmp_path, text) == entries
+
+
+@pytest.mark.parametrize("text,lineno", [("\n", 1), ("0 1\n\n", 2), ("0 1\r\n\r\n", 2)])
+def test_blank_lines_stay_errors(tmp_path, text, lineno):
+    with pytest.raises(BFileFormatError) as exc:
+        read_text(tmp_path, text)
+    assert str(exc.value).startswith(f"line {lineno}: ")
