@@ -1,7 +1,7 @@
 """Exact counting of Carlitz words (no two adjacent symbols equal) over
-multisets of symbols, by four independent methods: brute-force
-enumeration, inclusion-exclusion sums, factorial substitution, and
-P-recurrences.
+multisets of symbols, by four independent methods: dynamic programs over
+the multiset's count vector, inclusion-exclusion sums, factorial
+substitution, and P-recurrences.
 """
 
 from .bfile import BFileEntry, BFileFormatError, parse_bfile_lines, read_bfile
@@ -25,17 +25,14 @@ from .formulas import (
     upper_bound,
 )
 from .recurrences import (
-    CoupledState3,
-    CoupledState4,
     SelfCheckError,
-    a2_prime_range,
-    a2_prime_rec,
-    a3_prime_coupled,
-    a3_prime_coupled_range,
+    State,
     a3_prime_fourterm,
     a3_prime_fourterm_range,
-    a4_prime_coupled,
-    a4_prime_coupled_range,
+    prime,
+    prime_range,
+    state,
+    states,
 )
 from .words import (
     MultiplicityVector,
@@ -51,24 +48,17 @@ from .words import (
 __all__ = [
     "BFileEntry",
     "BFileFormatError",
-    "CoupledState3",
-    "CoupledState4",
     "InexactDivisionError",
     "MultiplicityVector",
     "SelfCheckError",
     "SizeLimitError",
+    "State",
     "a1",
     "a2_inclusion_exclusion",
-    "a2_prime_range",
-    "a2_prime_rec",
     "a3_inclusion_exclusion",
-    "a3_prime_coupled",
-    "a3_prime_coupled_range",
     "a3_prime_fourterm",
     "a3_prime_fourterm_range",
     "a4_inclusion_exclusion",
-    "a4_prime_coupled",
-    "a4_prime_coupled_range",
     "compositions",
     "count_carlitz_by_filter",
     "count_carlitz_total",
@@ -85,6 +75,10 @@ __all__ = [
     "phi_count",
     "phi_count_range",
     "poly_mul",
+    "prime",
+    "prime_range",
     "read_bfile",
+    "state",
+    "states",
     "upper_bound",
 ]

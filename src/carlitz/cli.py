@@ -32,6 +32,10 @@ METHODS = ("brute", "incl-excl", "phi", "recurrence")
 #: this long; beyond that the word DPs' cost would dominate the whole run.
 DEFAULT_VERIFY_BRUTE_LIMIT = 15
 
+#: The largest n any command computes: n_max + 1 values must fit a Python index.
+MAX_N = sys.maxsize - 1
+N_RANGE = click.IntRange(min=0, max=MAX_N)
+
 
 class RouteError(click.UsageError, ValueError):
     """A --method that cannot serve this k (exit 2)."""
@@ -138,7 +142,7 @@ def main():
 
 @main.command()
 @click.option("--k", type=click.IntRange(min=1), required=True, help="Copies per symbol.")
-@click.option("--n", type=click.IntRange(min=0), required=True, help="Number of symbols.")
+@click.option("--n", type=N_RANGE, required=True, help="Number of symbols.")
 @click.option("--ordered", is_flag=True, help="Count ordered words (first occurrences in increasing symbol order).")
 @click.option("--method", type=click.Choice(("auto",) + METHODS), default="auto", show_default=True)
 @click.option("--trace", is_flag=True, help="Print the signed inclusion-exclusion terms (implies --method incl-excl).")
@@ -170,7 +174,7 @@ def count(k: int, n: int, ordered: bool, method: str, trace: bool, limit: int):
 
 @main.command()
 @click.option("--k", type=click.IntRange(min=1), required=True, help="Copies per symbol.")
-@click.option("--n-max", type=click.IntRange(min=0), required=True, help="Last n of the table.")
+@click.option("--n-max", type=N_RANGE, required=True, help="Last n of the table.")
 @click.option("--ordered", is_flag=True, help="Tabulate ordered counts.")
 @click.option("--method", type=click.Choice(("auto",) + METHODS), default="auto", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(("text", "csv", "json")), default="text", show_default=True)
@@ -193,7 +197,7 @@ def table(k: int, n_max: int, ordered: bool, method: str, fmt: str, limit: int):
 
 @main.command()
 @click.option("--k", type=click.IntRange(min=2, max=4), required=True, help="Copies per symbol (2, 3 or 4).")
-@click.option("--n-max", type=click.IntRange(min=0), default=50, show_default=True, help="Verify n = 0..n-max.")
+@click.option("--n-max", type=N_RANGE, default=50, show_default=True, help="Verify n = 0..n-max.")
 @click.option("--limit", type=click.IntRange(min=0), default=DEFAULT_VERIFY_BRUTE_LIMIT, show_default=True, help="Include brute force only while k*n stays within this.")
 def verify(k: int, n_max: int, limit: int):
     """Cross-check every supported method against every other.
@@ -242,13 +246,12 @@ def oeis_check(file: str, k: int, ordered: bool, offset: int, method: str, limit
     if not entries:
         click.echo("0/0 match")
         return
-    if entries[0].index < offset:
-        click.echo(
-            f"index {entries[0].index} with offset {offset} gives negative n",
-            err=True,
-        )
+    first, last = entries[0].index, entries[-1].index
+    if first < offset or last - offset > MAX_N:
+        index, what = (first, "negative n") if first < offset else (last, f"n past {MAX_N}")
+        click.echo(f"index {index} with offset {offset} gives {what}", err=True)
         sys.exit(2)
-    computed = _values(route, k, entries[-1].index - offset, ordered, limit)
+    computed = _values(route, k, last - offset, ordered, limit)
     bad = [e for e in entries if computed[e.index - offset] != e.value]
     matched = f"{len(entries) - len(bad)}/{len(entries)} match"
     if not bad:

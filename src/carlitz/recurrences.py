@@ -1,13 +1,13 @@
 """P-recursive evaluation of ordered Carlitz counts a'_k(n) for k = 2, 3, 4.
 
-Three engines, all iterative with a sliding window of recent states so
+Four engines, all iterative with a sliding window of recent states so
 n in the tens of thousands runs without touching any recursion limit
 and, for single-value queries, in window-bounded memory:
 
 * k = 2: three-term recurrence p_{n+1} = (2n+1) p_n + p_{n-1};
 * k = 3: coupled system over p_n (ordered words on 1^3..n^3) and q_n
-  (ordered words on 0^2,1^3..n^3), plus an equivalent standalone
-  four-term recurrence kept as a differential check;
+  (ordered words on 0^2,1^3..n^3);
+* k = 3: the standalone four-term recurrence, a differential check;
 * k = 4: coupled system over p_n (1^4..n^4), q_n (0^3,1^4..n^4) and
   r_n (0^2,1^4..n^4), advanced in the order r, q, p dictated by the
   index dependencies.
@@ -23,11 +23,9 @@ combinations may dip below zero, emitted counts never legally can).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from operator import attrgetter
-from typing import Callable, Iterator, TypeVar
+from typing import Iterator, NamedTuple
 
 from .exact import InexactDivisionError, exact_div
 from .words import MultiplicityVector, count_ordered_carlitz
@@ -37,32 +35,18 @@ class SelfCheckError(RuntimeError):
     """A recurrence output failed an always-on consistency check."""
 
 
-@dataclass(frozen=True)
-class CoupledState3:
-    """State of the k=3 coupled system at index n.
+class State(NamedTuple):
+    """Counts of the k-engine at index n; q for k = 3, 4 and r for k = 4.
 
-    p: ordered Carlitz count of 1^3, ..., n^3 (that is, a'_3(n)).
-    q: ordered Carlitz count of 0^2, 1^3, ..., n^3.
+    p: ordered Carlitz count of 1^k, ..., n^k (that is, a'_k(n)).
+    q: ordered Carlitz count of 0^(k-1), 1^k, ..., n^k.
+    r: ordered Carlitz count of 0^(k-2), 1^k, ..., n^k.
     """
 
     n: int
     p: int
-    q: int
-
-
-@dataclass(frozen=True)
-class CoupledState4:
-    """State of the k=4 coupled system at index n.
-
-    p: ordered Carlitz count of 1^4, ..., n^4 (that is, a'_4(n)).
-    q: ordered Carlitz count of 0^3, 1^4, ..., n^4.
-    r: ordered Carlitz count of 0^2, 1^4, ..., n^4.
-    """
-
-    n: int
-    p: int
-    q: int
-    r: int
+    q: int | None = None
+    r: int | None = None
 
 
 def _count(value: int, label: str, n: int) -> int:
@@ -73,75 +57,54 @@ def _count(value: int, label: str, n: int) -> int:
     return value
 
 
-S = TypeVar("S")
-Counts = Callable[[S], tuple[int, ...]]
 _oracle_checked: set[str] = set()  # engines that matched the oracle so far
 
 
-def _checked(name: str, k: int, states: Iterator[S], counts: Counts) -> Iterator[S]:
-    """states, its first four compared with the word oracle once per process.
+def _checked(name: str, k: int, counts: Iterator[tuple]) -> Iterator[tuple]:
+    """counts, its first four compared with the word oracle once per process.
 
-    counts(state) is (p,), (p, q) or (p, q, r): the ordered Carlitz counts of
+    Each item is (p,), (p, q) or (p, q, r): the ordered Carlitz counts of
     1^k..n^k, 0^(k-1),1^k..n^k and 0^(k-2),1^k..n^k (at most 15 letters).
     The engine's own steps run first, so an inexact one raises before this.
     """
     if name in _oracle_checked:
-        return states
-    head = list(islice(states, 4))
-    got = [counts(s) for s in head]
-    zeros = ([], [k - 1], [k - 2])[: len(got[0])]  # copies of 0 for p, q, r
+        return counts
+    head = list(islice(counts, 4))
+    zeros = ([], [k - 1], [k - 2])[: len(head[0])]  # copies of 0 for p, q, r
     expected = [
         tuple(count_ordered_carlitz(MultiplicityVector(z + [k] * n)) for z in zeros)
-        for n in range(len(got))
+        for n in range(len(head))
     ]
-    if got != expected:
+    if head != expected:
         raise SelfCheckError(
             f"{name} disagrees with the word oracle on states 0..3: "
-            f"recurrence {got}, oracle {expected}"
+            f"recurrence {head}, oracle {expected}"
         )
     _oracle_checked.add(name)
-    return chain(head, states)
+    return chain(head, counts)
 
 
-def _nth(states: Iterator[S], n: int) -> S:
+def _nth(counts: Iterator[tuple], n: int) -> tuple:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return next(islice(states, n, None))
+    return next(islice(counts, n, None))
 
 
-def _upto(states: Iterator[S], n_max: int) -> list[S]:
+def _upto(counts: Iterator[tuple], n_max: int) -> list[tuple]:
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    return list(islice(states, n_max + 1))
+    return list(islice(counts, n_max + 1))
 
 
-def _p(value: int) -> tuple[int]:
-    return (value,)
-
-
-_pq = attrgetter("p", "q")
-_pqr = attrgetter("p", "q", "r")
-
-
-def _iter_a2_prime() -> Iterator[int]:
+def _iter_a2_prime() -> Iterator[tuple[int]]:
     p_prev, p = 1, 0
-    yield _count(p_prev, "a'_2", 0)
-    yield _count(p, "a'_2", 1)
+    yield (_count(p_prev, "a'_2", 0),)
+    yield (_count(p, "a'_2", 1),)
     n = 1
     while True:
         p_prev, p = p, (2 * n + 1) * p + p_prev
         n += 1
-        yield _count(p, "a'_2", n)
-
-
-def a2_prime_rec(n: int) -> int:
-    """a'_2(n) by the three-term recurrence."""
-    return _nth(_checked("a'_2", 2, _iter_a2_prime(), _p), n)
-
-
-def a2_prime_range(n_max: int) -> list[int]:
-    """[a'_2(0), ..., a'_2(n_max)] by p_{n+1} = (2n+1) p_n + p_{n-1}."""
-    return _upto(_checked("a'_2", 2, _iter_a2_prime(), _p), n_max)
+        yield (_count(p, "a'_2", n),)
 
 
 # Seam for fault-injection tests: one k=3 step, advancing q to index n
@@ -153,31 +116,15 @@ def _coupled3_step(n: int, p_prev: int, p: int, q_prev: int) -> tuple[int, int]:
     return q, p_next
 
 
-def _iter_coupled3() -> Iterator[CoupledState3]:
-    yield CoupledState3(0, 1, 0)
+def _iter_coupled3() -> Iterator[tuple[int, int]]:
+    yield 1, 0
     p_prev, p, q_prev = 1, 0, 0
     n = 1
     while True:
         q, p_next = _coupled3_step(n, p_prev, p, q_prev)
-        yield CoupledState3(
-            n, _count(p, "a'_3", n), _count(q, "q (0^2,1^3..n^3)", n)
-        )
+        yield _count(p, "a'_3", n), _count(q, "q (0^2,1^3..n^3)", n)
         p_prev, p, q_prev = p, p_next, q
         n += 1
-
-
-def a3_prime_coupled(n: int) -> CoupledState3:
-    """(p_n, q_n) of the k=3 coupled system; p_n = a'_3(n).
-
-    Initial conditions p_0 = 1, p_1 = 0, q_0 = 0; each step computes
-    q_n from p_n and q_{n-1}, then p_{n+1} with a checked halving.
-    """
-    return _nth(_checked("k=3 coupled", 3, _iter_coupled3(), _pq), n)
-
-
-def a3_prime_coupled_range(n_max: int) -> list[CoupledState3]:
-    """States 0..n_max of the k=3 coupled system."""
-    return _upto(_checked("k=3 coupled", 3, _iter_coupled3(), _pq), n_max)
 
 
 # Seam for fault-injection tests: one four-term step, returning p_{n+1}
@@ -204,17 +151,21 @@ def _fourterm_step_rational(n: int, p_back2: int, p_back1: int, p: int) -> int:
     return value.numerator
 
 
-def _iter_fourterm(rational: bool) -> Iterator[int]:
+def _iter_fourterm(rational: bool) -> Iterator[tuple[int]]:
     step = _fourterm_step_rational if rational else _fourterm_step
     window = [1, 0, 1]
     for n, v in enumerate(window):
-        yield _count(v, "a'_3 (four-term)", n)
+        yield (_count(v, "a'_3 (four-term)", n),)
     n = 2
     while True:
         window.append(step(n, *window[-3:]))
         del window[0]
         n += 1
-        yield _count(window[-1], "a'_3 (four-term)", n)
+        yield (_count(window[-1], "a'_3 (four-term)", n),)
+
+
+def _fourterm(rational: bool) -> Iterator[tuple[int]]:
+    return _checked(f"four-term {rational=}", 3, _iter_fourterm(rational))
 
 
 def a3_prime_fourterm(n: int, rational: bool = False) -> int:
@@ -227,13 +178,12 @@ def a3_prime_fourterm(n: int, rational: bool = False) -> int:
     used; rational=True evaluates the original fractional coefficients
     instead, as an independent second implementation.
     """
-    return _nth(_checked(f"four-term {rational=}", 3, _iter_fourterm(rational), _p), n)
+    return _nth(_fourterm(rational), n)[0]
 
 
 def a3_prime_fourterm_range(n_max: int, rational: bool = False) -> list[int]:
     """[a'_3(0), ..., a'_3(n_max)] by the four-term recurrence."""
-    states = _checked(f"four-term {rational=}", 3, _iter_fourterm(rational), _p)
-    return _upto(states, n_max)
+    return [c[0] for c in _upto(_fourterm(rational), n_max)]
 
 
 # Seam for fault-injection tests: one k=4 step, advancing r and q to
@@ -252,14 +202,13 @@ def _coupled4_step(
     return r, q, p_next
 
 
-def _iter_coupled4() -> Iterator[CoupledState4]:
-    yield CoupledState4(0, 1, 0, 0)
+def _iter_coupled4() -> Iterator[tuple[int, int, int]]:
+    yield 1, 0, 0
     p_prev, p, q_prev, r_prev = 1, 0, 0, 0
     n = 1
     while True:
         r, q, p_next = _coupled4_step(n, p_prev, p, q_prev, r_prev)
-        yield CoupledState4(
-            n,
+        yield (
             _count(p, "a'_4", n),
             _count(q, "q (0^3,1^4..n^4)", n),
             _count(r, "r (0^2,1^4..n^4)", n),
@@ -268,35 +217,37 @@ def _iter_coupled4() -> Iterator[CoupledState4]:
         n += 1
 
 
-def a4_prime_coupled(n: int) -> CoupledState4:
-    """(p_n, q_n, r_n) of the k=4 coupled system; p_n = a'_4(n).
+# Oracle-check name and counts stream per k.  Each lambda looks its
+# _iter_* up when called, so replacing one on this module changes what runs.
+_ENGINES = {
+    2: ("a'_2", lambda: _iter_a2_prime()),
+    3: ("k=3 coupled", lambda: _iter_coupled3()),
+    4: ("k=4 coupled", lambda: _iter_coupled4()),
+}
 
-    Initial conditions p_0 = 1, p_1 = 0, q_0 = 0, r_0 = 0; per step the
-    updates run r, then q (checked halving), then p (checked division
-    by 3).  Like every engine, it checks states 0..3 with the word oracle once.
-    """
-    return _nth(_checked("k=4 coupled", 4, _iter_coupled4(), _pqr), n)
+
+def _engine(k: int) -> Iterator[tuple]:
+    if k not in _ENGINES:
+        raise ValueError(f"recurrence supports k=2,3,4 only, not k={k}")
+    name, counts = _ENGINES[k]
+    return _checked(name, k, counts())
 
 
-def a4_prime_coupled_range(n_max: int) -> list[CoupledState4]:
-    """States 0..n_max of the k=4 coupled system."""
-    return _upto(_checked("k=4 coupled", 4, _iter_coupled4(), _pqr), n_max)
+def state(k: int, n: int) -> State:
+    """State n of the k-engine (k = 2, 3, 4), from p_0 = 1, p_1 = 0, q_0 = r_0 = 0."""
+    return State(n, *_nth(_engine(k), n))
+
+
+def states(k: int, n_max: int) -> list[State]:
+    """States 0..n_max of the k-engine (k = 2, 3, 4), in one pass."""
+    return [State(n, *c) for n, c in enumerate(_upto(_engine(k), n_max))]
 
 
 def prime(k: int, n: int) -> int:
     """a'_k(n) for k = 2, 3, 4: the three-term recurrence or a coupled system."""
-    if not 2 <= k <= 4:
-        raise ValueError(f"recurrence supports k=2,3,4 only, not k={k}")
-    if k == 2:
-        return a2_prime_rec(n)
-    return (a3_prime_coupled if k == 3 else a4_prime_coupled)(n).p
+    return _nth(_engine(k), n)[0]
 
 
 def prime_range(k: int, n_max: int) -> list[int]:
     """[a'_k(0), ..., a'_k(n_max)] for k = 2, 3, 4, in one pass of that engine."""
-    if not 2 <= k <= 4:
-        raise ValueError(f"recurrence supports k=2,3,4 only, not k={k}")
-    if k == 2:
-        return a2_prime_range(n_max)
-    states = (a3_prime_coupled_range if k == 3 else a4_prime_coupled_range)(n_max)
-    return [s.p for s in states]
+    return [c[0] for c in _upto(_engine(k), n_max)]

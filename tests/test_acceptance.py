@@ -34,12 +34,7 @@ from carlitz.formulas import (
     phi_count,
     phi_count_range,
 )
-from carlitz.recurrences import (
-    a2_prime_rec,
-    a3_prime_coupled_range,
-    a3_prime_fourterm_range,
-    a4_prime_coupled_range,
-)
+from carlitz.recurrences import a3_prime_fourterm_range, prime, states
 from carlitz.words import (
     MultiplicityVector,
     count_carlitz_by_filter,
@@ -151,13 +146,13 @@ def test_criterion_4_oracle_equivalence(capsys):
                 brute = count_ordered_carlitz(mv)
                 assert brute == prime_row[n], (k, n)
                 if k == 2:
-                    assert brute == a2_prime_rec(n)
+                    assert brute == prime(2, n)
                     total = a2_inclusion_exclusion(n)
                 elif k == 3:
-                    assert brute == a3_prime_coupled_range(n)[-1].p
+                    assert brute == states(3, n)[-1].p
                     total = a3_inclusion_exclusion(n)
                 else:
-                    assert brute == a4_prime_coupled_range(n)[-1].p
+                    assert brute == states(4, n)[-1].p
                     total = a4_inclusion_exclusion(n)
                 assert exact_div(total, factorial(n)) == brute
 
@@ -171,7 +166,7 @@ def test_criterion_4_oracle_equivalence(capsys):
         assert seen == 163386
 
         # Heterogeneous multisets against the coupled recurrences.
-        q3 = [s.q for s in a3_prime_coupled_range(4)]
+        q3 = [s.q for s in states(3, 4)]
         for n in range(5):
             assert q3[n] == count_ordered_carlitz(
                 MultiplicityVector.prefixed(2, 3, n)
@@ -183,7 +178,7 @@ def test_criterion_4_oracle_equivalence(capsys):
         assert len(words_q2) == 8
         assert tuple(int(d) for d in "01202121") in words_q2
 
-        k4 = a4_prime_coupled_range(3)
+        k4 = states(4, 3)
         assert (k4[2].q, k4[2].r) == (58, 11)
         for s in k4:
             assert s.q == count_ordered_carlitz(
@@ -214,9 +209,9 @@ def test_criterion_5_divisibility_and_fault_injection(capsys, monkeypatch):
 
         # Checked divisions by 2, 3 and 2n inside the recurrences, and
         # the rational four-term variant's integrality check.
-        a3_prime_coupled_range(300)
+        states(3, 300)
         assert a3_prime_fourterm_range(120, rational=True) == a3_prime_fourterm_range(120)
-        a4_prime_coupled_range(100)
+        states(4, 100)
         # phi-route integrality over the verified range.
         phi_count_range(4, 60)
 
@@ -228,7 +223,7 @@ def test_criterion_5_divisibility_and_fault_injection(capsys, monkeypatch):
 
         monkeypatch.setattr(recurrences, "_coupled3_step", broken3)
         try:
-            recurrences.a3_prime_coupled(10)
+            recurrences.state(3, 10)
             raise AssertionError("flipped k=3 coefficient went unnoticed")
         except InexactDivisionError:
             pass
@@ -263,7 +258,7 @@ def test_criterion_5_divisibility_and_fault_injection(capsys, monkeypatch):
         monkeypatch.setattr(recurrences, "_coupled4_step", broken4)
         monkeypatch.setattr(recurrences, "_oracle_checked", {"k=4 coupled"})
         try:
-            recurrences.a4_prime_coupled(10)
+            recurrences.state(4, 10)
             raise AssertionError("flipped k=4 coefficient went unnoticed")
         except InexactDivisionError:
             pass

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,22 @@ def test_brute_refusal_is_pinned(runner, args, stderr):
 def test_brute_within_default_limit_runs(runner):
     r = run(runner, "count", "--k", 2, "--n", 12, "--method", "brute")
     assert (r.exit_code, r.stdout, r.stderr) == (0, f"{phi_value(2, 12, False)}\n", "")
+
+
+@pytest.mark.parametrize("args", [
+    ("count", "--k", 2, "--n", 10**23),
+    ("table", "--k", 3, "--n-max", sys.maxsize),
+    ("verify", "--k", 2, "--n-max", 10**23),
+    ("oeis-check", "BFILE", "--k", 2, "--offset", -10**30),
+    ("oeis-check", "BFILE", "--k", 2, "--offset", -10**30, "--method", "incl-excl"),
+], ids=["count", "table", "verify", "oeis-check", "oeis-check-incl-excl"])
+def test_unindexable_n_exits_2(runner, tmp_path, args):
+    # An n that no Python sequence can index is a usage error.
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("0 1\n1 0\n", encoding="utf-8")
+    r = run(runner, *(bfile if a == "BFILE" else a for a in args))
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert_clean_exit(r)
 
 
 def table_rows(stdout, fmt):
@@ -475,7 +492,7 @@ class TestVerify:
         # default --limit of 24.  The ordered column is served by a stub
         # and the total DP column runs for real.
         def ordered_stub(mv):
-            return recurrences.a2_prime_rec(mv.symbols)
+            return recurrences.prime(2, mv.symbols)
 
         monkeypatch.setattr(words, "count_ordered_carlitz", ordered_stub)
         r = run(runner, "verify", "--k", 2, "--n-max", 13, "--limit", 26)

@@ -2,6 +2,8 @@
 identities, heterogeneous oracle agreement, and fault injection on the
 checked divisions."""
 
+from functools import partial
+
 import pytest
 
 from carlitz import recurrences
@@ -13,14 +15,13 @@ from carlitz.formulas import (
 )
 from carlitz.recurrences import (
     SelfCheckError,
-    a2_prime_range,
-    a2_prime_rec,
-    a3_prime_coupled,
-    a3_prime_coupled_range,
+    State,
     a3_prime_fourterm,
     a3_prime_fourterm_range,
-    a4_prime_coupled,
-    a4_prime_coupled_range,
+    prime,
+    prime_range,
+    state,
+    states,
 )
 from carlitz.words import MultiplicityVector, count_ordered_carlitz
 
@@ -29,20 +30,20 @@ A3_PRIME_ROW = [1, 0, 1, 29, 1721, 163386, 22831355]
 
 
 def test_a2_prime_values():
-    assert a2_prime_rec(2) == 1
-    assert a2_prime_rec(3) == 5
-    assert a2_prime_rec(6) == 3655
-    assert a2_prime_range(6) == A2_PRIME_ROW
+    assert prime(2, 2) == 1
+    assert prime(2, 3) == 5
+    assert prime(2, 6) == 3655
+    assert prime_range(2, 6) == A2_PRIME_ROW
 
 
 def test_a3_coupled_values():
-    state = a3_prime_coupled(2)
-    assert (state.p, state.q) == (1, 8)
-    state = a3_prime_coupled(3)
-    assert (state.p, state.q) == (29, 335)
-    assert state.q == 11 * 29 + 2 * 8
-    assert a3_prime_coupled(5).p == 163386
-    assert [s.p for s in a3_prime_coupled_range(6)] == A3_PRIME_ROW
+    s = state(3, 2)
+    assert (s.p, s.q) == (1, 8)
+    s = state(3, 3)
+    assert (s.p, s.q) == (29, 335)
+    assert s.q == 11 * 29 + 2 * 8
+    assert state(3, 5).p == 163386
+    assert [s.p for s in states(3, 6)] == A3_PRIME_ROW
 
 
 def test_a3_fourterm_values():
@@ -57,40 +58,41 @@ def test_a3_fourterm_rational_form_agrees():
 
 
 def test_a3_fourterm_agrees_with_coupled():
-    assert a3_prime_fourterm_range(60) == [s.p for s in a3_prime_coupled_range(60)]
+    assert a3_prime_fourterm_range(60) == [s.p for s in states(3, 60)]
 
 
 def test_a4_coupled_values():
-    assert a4_prime_coupled(0) == recurrences.CoupledState4(0, 1, 0, 0)
-    state = a4_prime_coupled(1)
-    assert (state.p, state.q, state.r) == (0, 0, 0)
-    state = a4_prime_coupled(2)
-    assert (state.p, state.q, state.r) == (1, 58, 11)
-    state = a4_prime_coupled(3)
-    assert (state.p, state.q, state.r) == (182, 21255, 2904)
-    assert a4_prime_coupled(4).p == 94376
+    assert state(4, 0) == State(0, 1, 0, 0)
+    s = state(4, 1)
+    assert (s.p, s.q, s.r) == (0, 0, 0)
+    s = state(4, 2)
+    assert (s.p, s.q, s.r) == (1, 58, 11)
+    s = state(4, 3)
+    assert (s.p, s.q, s.r) == (182, 21255, 2904)
+    assert state(4, 4).p == 94376
 
 
 def test_a_from_ordered():
-    """a_k(n) = n! * a'_k(n), the route of unordered recurrence counts;
-    the CLI rejects that route for k outside 2..4 (see test_cli)."""
-    assert factorial(5) * a3_prime_coupled(5).p == 19606320
-    assert factorial(4) * a2_prime_rec(4) == 864
-    assert factorial(0) * a4_prime_coupled(0).p == 1
+    """a_k(n) = n! * a'_k(n), the conversion the CLI applies to the
+    recurrence route's ordered counts; that route rejects k outside 2..4
+    (see test_cli)."""
+    assert factorial(5) * state(3, 5).p == 19606320
+    assert factorial(4) * prime(2, 4) == 864
+    assert factorial(0) * state(4, 0).p == 1
 
 
 def test_rejects_negative_index():
-    for fn in (a2_prime_rec, a3_prime_coupled, a3_prime_fourterm, a4_prime_coupled):
+    for fn in (partial(prime, 2), partial(state, 3), a3_prime_fourterm, partial(state, 4)):
         with pytest.raises(ValueError):
             fn(-1)
 
 
 def test_recurrences_match_inclusion_exclusion():
-    for n, p in enumerate(a2_prime_range(60)):
+    for n, p in enumerate(prime_range(2, 60)):
         assert factorial(n) * p == a2_inclusion_exclusion(n)
-    for s in a3_prime_coupled_range(30):
+    for s in states(3, 30):
         assert factorial(s.n) * s.p == a3_inclusion_exclusion(s.n)
-    for s in a4_prime_coupled_range(15):
+    for s in states(4, 15):
         assert factorial(s.n) * s.p == a4_inclusion_exclusion(s.n)
 
 
@@ -101,13 +103,13 @@ def test_ordered_counts_divide_exactly():
 
 
 def test_heterogeneous_q_matches_oracle_k3():
-    for s in a3_prime_coupled_range(4):
+    for s in states(3, 4):
         oracle = count_ordered_carlitz(MultiplicityVector.prefixed(2, 3, s.n))
         assert s.q == oracle
 
 
 def test_heterogeneous_q_r_match_oracle_k4():
-    for s in a4_prime_coupled_range(3):
+    for s in states(4, 3):
         assert s.q == count_ordered_carlitz(MultiplicityVector.prefixed(3, 4, s.n))
         assert s.r == count_ordered_carlitz(MultiplicityVector.prefixed(2, 4, s.n))
 
@@ -119,11 +121,11 @@ def test_every_state_matches_oracle_at_large_n():
         return count_ordered_carlitz(mv)
 
     for n in range(101):
-        assert a2_prime_rec(n) == oracle(MultiplicityVector.uniform(2, n))
-    for s in a3_prime_coupled_range(30):
+        assert prime(2, n) == oracle(MultiplicityVector.uniform(2, n))
+    for s in states(3, 30):
         assert s.p == oracle(MultiplicityVector.uniform(3, s.n))
         assert s.q == oracle(MultiplicityVector.prefixed(2, 3, s.n))
-    for s in a4_prime_coupled_range(16):
+    for s in states(4, 16):
         assert s.p == oracle(MultiplicityVector.uniform(4, s.n))
         assert s.q == oracle(MultiplicityVector.prefixed(3, 4, s.n))
         assert s.r == oracle(MultiplicityVector.prefixed(2, 4, s.n))
@@ -131,8 +133,8 @@ def test_every_state_matches_oracle_at_large_n():
 
 def test_large_single_value_runs_iteratively():
     # Far beyond any recursion limit; also windowed, so this is cheap.
-    value = a2_prime_rec(3000)
-    assert value == a2_prime_range(3000)[-1]
+    value = prime(2, 3000)
+    assert value == prime_range(2, 3000)[-1]
     assert value > 0
 
 
@@ -145,7 +147,7 @@ def test_coupled3_rejects_flipped_coefficient(monkeypatch):
 
     monkeypatch.setattr(recurrences, "_coupled3_step", broken)
     with pytest.raises(InexactDivisionError):
-        a3_prime_coupled(10)
+        state(3, 10)
 
 
 def test_fourterm_rejects_flipped_coefficient(monkeypatch):
@@ -178,7 +180,7 @@ def test_coupled4_rejects_flipped_coefficient(monkeypatch):
     monkeypatch.setattr(recurrences, "_coupled4_step", broken)
     monkeypatch.setattr(recurrences, "_oracle_checked", {"k=4 coupled"})
     with pytest.raises(InexactDivisionError):
-        a4_prime_coupled(10)
+        state(4, 10)
 
 
 def test_self_check_catches_wrong_k4_step(monkeypatch):
@@ -192,7 +194,7 @@ def test_self_check_catches_wrong_k4_step(monkeypatch):
     monkeypatch.setattr(recurrences, "_coupled4_step", broken)
     monkeypatch.setattr(recurrences, "_oracle_checked", set())
     with pytest.raises(SelfCheckError):
-        a4_prime_coupled(5)
+        state(4, 5)
 
 
 def test_negative_emitted_count_is_rejected(monkeypatch):
@@ -203,11 +205,11 @@ def test_negative_emitted_count_is_rejected(monkeypatch):
 
     monkeypatch.setattr(recurrences, "_coupled3_step", broken)
     with pytest.raises(SelfCheckError):
-        a3_prime_coupled(3)
+        state(3, 3)
 
 
 def _wrong_a2_stream():
-    return iter([1, 0, 1, 6])  # a'_2(3) is 5
+    return iter([(1,), (0,), (1,), (6,)])  # a'_2(3) is 5
 
 
 def _wrong_coupled3_step(n, p_prev, p, q_prev):
@@ -235,10 +237,10 @@ def _wrong_coupled4_step(n, p_prev, p, q_prev, r_prev):
 @pytest.mark.parametrize(
     "seam, wrong, call",
     [
-        ("_iter_a2_prime", _wrong_a2_stream, lambda: a2_prime_rec(3)),
-        ("_coupled3_step", _wrong_coupled3_step, lambda: a3_prime_coupled(6)),
+        ("_iter_a2_prime", _wrong_a2_stream, lambda: prime(2, 3)),
+        ("_coupled3_step", _wrong_coupled3_step, lambda: state(3, 6)),
         ("_fourterm_step", _wrong_fourterm_step, lambda: a3_prime_fourterm(3)),
-        ("_coupled4_step", _wrong_coupled4_step, lambda: a4_prime_coupled(5)),
+        ("_coupled4_step", _wrong_coupled4_step, lambda: state(4, 5)),
     ],
     ids=["k2", "k3-coupled", "k3-fourterm", "k4-coupled"],
 )
@@ -253,7 +255,18 @@ def test_every_engine_catches_exactly_dividing_wrong_step(
         call()
 
 
-def test_oracle_runs_once_per_engine(monkeypatch):
+@pytest.mark.parametrize(
+    "entry_points, width",
+    [([partial(f, k) for f in (state, states, prime, prime_range)], k - 1)
+     for k in (2, 3, 4)]
+    + [([partial(f, rational=rational)
+         for f in (a3_prime_fourterm, a3_prime_fourterm_range)], 1)
+       for rational in (False, True)],
+    ids=["k2", "k3-coupled", "k4-coupled", "k3-fourterm", "k3-fourterm-rational"],
+)
+def test_oracle_runs_once_per_engine(monkeypatch, entry_points, width):
+    # Every entry point of one engine shares its single oracle comparison
+    # of states 0..3, one oracle call per count in each state.
     calls = []
     real = recurrences.count_ordered_carlitz
 
@@ -263,8 +276,6 @@ def test_oracle_runs_once_per_engine(monkeypatch):
 
     monkeypatch.setattr(recurrences, "count_ordered_carlitz", counting)
     monkeypatch.setattr(recurrences, "_oracle_checked", set())
-    a3_prime_coupled(40)
-    assert len(calls) == 4 * 2
-    a3_prime_coupled_range(40)
-    recurrences.prime(3, 40)
-    assert len(calls) == 4 * 2
+    for call in entry_points:
+        call(40)
+        assert len(calls) == 4 * width
