@@ -15,13 +15,12 @@ from .exact import (
     poly_mul,
 )
 from .formulas import (
-    a1,
-    a2_inclusion_exclusion,
-    a3_inclusion_exclusion,
-    a4_inclusion_exclusion,
+    inclusion_exclusion,
+    inclusion_exclusion_range,
     phi_base,
     phi_count,
     phi_count_range,
+    terms,
     upper_bound,
 )
 from .recurrences import (
@@ -53,12 +52,8 @@ __all__ = [
     "SelfCheckError",
     "SizeLimitError",
     "State",
-    "a1",
-    "a2_inclusion_exclusion",
-    "a3_inclusion_exclusion",
     "a3_prime_fourterm",
     "a3_prime_fourterm_range",
-    "a4_inclusion_exclusion",
     "compositions",
     "count_carlitz_by_filter",
     "count_carlitz_total",
@@ -66,6 +61,8 @@ __all__ = [
     "enumerate_ordered_carlitz",
     "exact_div",
     "factorial",
+    "inclusion_exclusion",
+    "inclusion_exclusion_range",
     "is_carlitz",
     "is_ordered",
     "multinomial",
@@ -80,5 +77,6 @@ __all__ = [
     "read_bfile",
     "state",
     "states",
+    "terms",
     "upper_bound",
 ]

@@ -2,10 +2,11 @@
 
 Inclusion-exclusion sums for k = 2, 3, 4: a composition of the n symbols
 over the blocking patterns in PATTERNS (how many blocks each symbol's
-copies are glued into) gives one signed term.  The term streams compute
-each term on their own; the sums walk from one term to the next; the
-range table serves every n up to a bound from one tabulation of the last
-two rows' sums.
+copies are glued into) gives one signed term.  Three entry points serve
+every k: terms(k, n) computes each term on its own; inclusion_exclusion(k,
+n) walks from one term to the next (a_1(n) = n!); and
+inclusion_exclusion_range(k, n_max) serves every n up to n_max from one
+tabulation of the last two rows' sums.
 
 Independently, the factorial substitution phi (t^j -> j!) counts the
 Carlitz words over any multiset (m_1, ..., m_r) as phi(prod L_{m_i}(t)).
@@ -35,13 +36,6 @@ class Term(NamedTuple):
     value: int
 
 
-def a1(n: int) -> int:
-    """Carlitz words over n distinct symbols, one copy each: all n! permutations."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return factorial(n)
-
-
 #: Blocking patterns, one row per composition part: (blocks, divisor,
 #: sign).  A symbol in the part has its k copies glued into `blocks`
 #: blocks; `divisor` is the shape's symmetry factor.  As weights
@@ -54,24 +48,31 @@ PATTERNS = {
 }
 
 
-def _pattern_terms(k: int, n: int) -> Iterator[Term]:
-    """The terms of the k sum, each on its own, in compositions() order:
-    sign * multinomial(n; c) * (sum of blocks*c)! / prod of divisor^c."""
+def terms(k: int, n: int) -> Iterator[Term]:
+    """The signed terms of the k = 2, 3, 4 sum, each computed on its own, in
+    compositions() order: sign * multinomial(n; c) * (sum of blocks*c)! / prod
+    of divisor^c.  A bad k or n raises ValueError here, before the first term.
+    """
+    if k not in PATTERNS:
+        raise ValueError(f"term streams exist for k=2,3,4 only, not k={k}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     rows = PATTERNS[k]
-    for comp in compositions(n, len(rows)):
+
+    def term(comp: tuple[int, ...]) -> Term:
         length, div, negative = 0, 1, 0
         for (blocks, d, sign), c in zip(rows, comp):
             length += blocks * c
             div *= d**c
             negative ^= c & 1 if sign < 0 else 0
         mag = multinomial(n, comp) * exact_div(factorial(length), div)
-        yield Term(comp, -mag if negative else mag)
+        return Term(comp, -mag if negative else mag)
+
+    return map(term, compositions(n, len(rows)))
 
 
 def _pattern_sum(k: int, n: int) -> int:
-    """The sum of _pattern_terms(k, n), each term reached from a neighbour.
+    """The sum of terms(k, n), each term reached from a neighbour.
 
     The walk starts with all n symbols in the last part (term +-n!) and
     moves them one at a time into earlier parts.  A move into a part of b
@@ -98,48 +99,36 @@ def _pattern_sum(k: int, n: int) -> int:
     return walk(0, rows[-1][2] ** n * factorial(n), n, n)
 
 
-def a2_terms(n: int) -> Iterator[Term]:
-    """Signed terms of the k=2 sum, in composition order (s descending).
-    Term at (s, t), s + t = n:  (-1)^t * C(n, s) * (2s+t)! / 2^s."""
-    return _pattern_terms(2, n)
-
-
 def a2_inclusion_exclusion(n: int) -> int:
-    """Number of Carlitz words over 2 copies each of n symbols."""
+    """Number of Carlitz words over 2 copies each of n symbols.  Term at
+    (s, t), s + t = n:  (-1)^t * C(n, s) * (2s+t)! / 2^s."""
     return _pattern_sum(2, n)
 
 
-def a3_terms(n: int) -> Iterator[Term]:
-    """Signed terms of the k=3 sum.  Term at (s, t, u), s + t + u = n:
-    (-1)^t * multinomial(n; s,t,u) * (3s+2t+u)! / 6^s."""
-    return _pattern_terms(3, n)
-
-
 def a3_inclusion_exclusion(n: int) -> int:
-    """Number of Carlitz words over 3 copies each of n symbols."""
+    """Number of Carlitz words over 3 copies each of n symbols.  Term at
+    (s, t, u), s + t + u = n:  (-1)^t * multinomial(n; s,t,u) * (3s+2t+u)! / 6^s."""
     return _pattern_sum(3, n)
 
 
-def a4_terms(n: int) -> Iterator[Term]:
-    """Signed terms of the k=4 sum, one per weak composition of n into 5.
-
-    Term at (s, t, u, v, w), s + t + u + v + w = n:
-    (-1)^(t+w) * multinomial(n; s,t,u,v,w) * (4s+3t+2u+2v+w)! / (24^s * 2^(v+t)).
-    """
-    return _pattern_terms(4, n)
-
-
 def a4_inclusion_exclusion(n: int) -> int:
-    """Number of Carlitz words over 4 copies each of n symbols."""
+    """Number of Carlitz words over 4 copies each of n symbols.  Term at
+    (s, t, u, v, w), s + t + u + v + w = n:  (-1)^(t+w) * multinomial(n; s,t,u,v,w)
+    * (4s+3t+2u+2v+w)! / (24^s * 2^(v+t))."""
     return _pattern_sum(4, n)
 
 
 def inclusion_exclusion(k: int, n: int) -> int:
-    """a_k(n) by the inclusion-exclusion sum of that k, for k = 1..4."""
+    """a_k(n) by the inclusion-exclusion sum of that k, for k = 1..4; a_1(n) = n!.
+
+    The k = 2, 3, 4 sums are looked up on this module at every call, so
+    replacing one of them changes what this returns.
+    """
     if not 1 <= k <= 4:
         raise ValueError(f"incl-excl supports k=1..4 only, not k={k}")
-    sums = (a1, a2_inclusion_exclusion, a3_inclusion_exclusion, a4_inclusion_exclusion)
-    return sums[k - 1](n)
+    if k == 1:
+        return factorial(n)
+    return (a2_inclusion_exclusion, a3_inclusion_exclusion, a4_inclusion_exclusion)[k - 2](n)
 
 
 def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
@@ -190,13 +179,6 @@ def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
             g = [d * s_m * g[i + 1] + s * g[i + b] for i in range(width * (n_max - R) + 1)]
         walk(0, 1, d**R, 0, R)
     return out
-
-
-def terms(k: int, n: int) -> Iterator[Term]:
-    """The signed terms of the k = 2, 3, 4 sum; other k raise ValueError at once."""
-    if not 2 <= k <= 4:
-        raise ValueError(f"term streams exist for k=2,3,4 only, not k={k}")
-    return (a2_terms, a3_terms, a4_terms)[k - 2](n)
 
 
 def phi_base(k: int) -> list[int]:

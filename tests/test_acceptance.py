@@ -26,11 +26,8 @@ from carlitz.exact import (
 )
 from carlitz.formulas import (
     a2_inclusion_exclusion,
-    a2_terms,
     a3_inclusion_exclusion,
-    a3_terms,
     a4_inclusion_exclusion,
-    a4_terms,
     phi_count,
     phi_count_range,
 )
@@ -198,11 +195,11 @@ def test_criterion_5_divisibility_and_fault_injection(capsys, monkeypatch):
         @given(st.integers(0, 60))
         @settings(max_examples=25, deadline=None)
         def check_sum_terms(n):
-            assert sum(t.value for t in a2_terms(n)) == a2_inclusion_exclusion(n)
+            assert sum(t.value for t in formulas.terms(2, n)) == a2_inclusion_exclusion(n)
             if n <= 40:
-                assert sum(t.value for t in a3_terms(n)) == a3_inclusion_exclusion(n)
+                assert sum(t.value for t in formulas.terms(3, n)) == a3_inclusion_exclusion(n)
             if n <= 8:
-                assert sum(t.value for t in a4_terms(n)) == a4_inclusion_exclusion(n)
+                assert sum(t.value for t in formulas.terms(4, n)) == a4_inclusion_exclusion(n)
             exact_div(a2_inclusion_exclusion(n), factorial(n))
 
         check_sum_terms()

@@ -519,11 +519,13 @@ class TestVerify:
         assert r.exit_code == 1
         assert "MISMATCH k=3 n=7" in r.output
 
-    def test_count_reaches_the_point_sum(self, runner, monkeypatch):
-        real = formulas.a3_inclusion_exclusion
-        monkeypatch.setattr(formulas, "a3_inclusion_exclusion",
-                            lambda n: real(n) + (720 if n == 7 else 0))
-        r = run(runner, "count", "--k", 3, "--n", 7, "--method", "incl-excl")
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_count_reaches_the_point_sum(self, runner, monkeypatch, k):
+        # The k=2 case is the seam perfbench/selftest.py patches.
+        name = f"a{k}_inclusion_exclusion"
+        real = getattr(formulas, name)
+        monkeypatch.setattr(formulas, name, lambda n: real(n) + (720 if n == 7 else 0))
+        r = run(runner, "count", "--k", k, "--n", 7, "--method", "incl-excl")
         assert r.exit_code == 0
         assert r.output == f"{real(7) + 720}\n"
 

@@ -1,6 +1,8 @@
 """Tests for the closed-form counts: table rows, per-term traces, the
 phi route, and agreement with the word oracle."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,13 +10,9 @@ from hypothesis import strategies as st
 from carlitz import formulas
 from carlitz.exact import InexactDivisionError, exact_div, factorial, multinomial
 from carlitz.formulas import (
-    a1,
     a2_inclusion_exclusion,
-    a2_terms,
     a3_inclusion_exclusion,
-    a3_terms,
     a4_inclusion_exclusion,
-    a4_terms,
     phi_base,
     phi_count,
     phi_count_range,
@@ -33,7 +31,7 @@ A4_ROW = [1, 0, 2, 1092, 2265024, 11804626080]
 
 
 def test_a1_is_factorial():
-    assert [a1(n) for n in range(7)] == A1_ROW
+    assert [formulas.inclusion_exclusion(1, n) for n in range(7)] == A1_ROW
 
 
 def test_a2_row():
@@ -49,8 +47,8 @@ def test_a4_row():
 
 
 def test_rejects_negative_n():
-    for fn in (a1, a2_inclusion_exclusion, a3_inclusion_exclusion,
-               a4_inclusion_exclusion):
+    for fn in (partial(formulas.inclusion_exclusion, 1), a2_inclusion_exclusion,
+               a3_inclusion_exclusion, a4_inclusion_exclusion):
         with pytest.raises(ValueError):
             fn(-1)
     for k in range(1, 5):
@@ -59,14 +57,14 @@ def test_rejects_negative_n():
 
 
 def test_a2_term_trace_n3():
-    terms = list(a2_terms(3))
+    terms = list(formulas.terms(2, 3))
     assert [t.composition for t in terms] == [(3, 0), (2, 1), (1, 2), (0, 3)]
     assert [t.value for t in terms] == [90, -90, 36, -6]
     assert sum(t.value for t in terms) == 30
 
 
 def test_a3_term_trace_n3():
-    terms = list(a3_terms(3))
+    terms = list(formulas.terms(3, 3))
     assert len(terms) == 10
     assert terms[0].composition == (3, 0, 0)
     assert terms[0].value == 1680
@@ -80,6 +78,14 @@ def test_terms_match_fast_sum(k):
         assert sum(t.value for t in formulas.terms(k, n)) == formulas.inclusion_exclusion(k, n)
 
 
+@pytest.mark.parametrize("k,n", [(0, 3), (1, 3), (5, 3), (2, -1)])
+def test_terms_rejects_bad_input_at_once(k, n):
+    """`count --trace` catches this ValueError around the call alone, so it
+    must come from the call, not from the first next()."""
+    with pytest.raises(ValueError):
+        formulas.terms(k, n)
+
+
 def test_wrong_pattern_divisor_raises(monkeypatch):
     # A divisor that does not divide its term must abort the term stream,
     # the walk and the range table rather than round: once in an outer
@@ -88,7 +94,7 @@ def test_wrong_pattern_divisor_raises(monkeypatch):
     for index, wrong in ((0, (4, 48, 1)), (3, (2, 4, 1))):
         monkeypatch.setitem(formulas.PATTERNS, 4, rows[:index] + (wrong,) + rows[index + 1:])
         with pytest.raises(InexactDivisionError):
-            list(a4_terms(1))
+            list(formulas.terms(4, 1))
         with pytest.raises(InexactDivisionError):
             a4_inclusion_exclusion(1)
         with pytest.raises(InexactDivisionError):
@@ -118,7 +124,7 @@ def test_patterns_sum_to_laguerre_base(k):
 
 
 def test_a4_term_compositions_cover_everything():
-    terms = list(a4_terms(4))
+    terms = list(formulas.terms(4, 4))
     comps = [t.composition for t in terms]
     assert len(set(comps)) == len(comps) == 70
     assert all(sum(c) == 4 for c in comps)
@@ -136,7 +142,7 @@ def test_phi_base_small_k():
 def test_phi_route_reproduces_each_k():
     """phi of the n-th power of each base equals the k-th count."""
     for n in range(8):
-        assert phi_count((1,) * n) == a1(n)
+        assert phi_count((1,) * n) == formulas.inclusion_exclusion(1, n)
         assert phi_count((2,) * n) == a2_inclusion_exclusion(n)
         assert phi_count((3,) * n) == a3_inclusion_exclusion(n)
         assert phi_count((4,) * n) == a4_inclusion_exclusion(n)

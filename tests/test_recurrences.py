@@ -255,6 +255,19 @@ def test_every_engine_catches_exactly_dividing_wrong_step(
         call()
 
 
+def test_fourterm_forms_are_oracle_checked_apart(monkeypatch):
+    # The integer form passing its oracle check must not excuse the
+    # rational form: a wrong rational p_3 (30, not 29) that is exact and
+    # nonnegative is caught only by that form's own comparison.
+    monkeypatch.setattr(recurrences, "_oracle_checked", set())
+    a3_prime_fourterm_range(5)
+    real = recurrences._fourterm_step_rational
+    monkeypatch.setattr(recurrences, "_fourterm_step_rational",
+                        lambda n, *window: 30 if n == 2 else real(n, *window))
+    with pytest.raises(SelfCheckError):
+        a3_prime_fourterm_range(5, rational=True)
+
+
 @pytest.mark.parametrize(
     "entry_points, width",
     [([partial(f, k) for f in (state, states, prime, prime_range)], k - 1)
