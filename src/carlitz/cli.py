@@ -10,14 +10,16 @@ Usage:
 
 All printed values are exact decimal integers, never rounded or
 abbreviated.  Exit codes: 0 success, 1 verification or b-file mismatch,
-2 usage or format error, 3 refusal of an oversized brute-force request.
+2 usage or format error, 3 refusal of an oversized brute-force request or
+a route that ran out of memory (one stderr line, no traceback).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import Callable, NamedTuple
+from contextlib import contextmanager
+from typing import Callable, Iterator, NamedTuple
 
 import click
 
@@ -119,14 +121,25 @@ def _refuse_oversized(route: Route, k: int, n: int, limit: int) -> None:
         sys.exit(3)
 
 
+@contextmanager
+def _exit_3_on_memory_error(route: Route, k: int, n: int) -> Iterator[None]:
+    """Turn a MemoryError inside a route call into one stderr line and exit 3."""
+    try:
+        yield
+    except MemoryError:
+        click.echo(f"out of memory: {route.name} for k={k} up to n={n}", err=True)
+        sys.exit(3)
+
+
 def _values(route: Route, k: int, n_max: int, ordered: bool, limit: int) -> list[int]:
     """Values for n = 0..n_max; routes with a range callable advance incrementally."""
     _refuse_oversized(route, k, min(n_max, limit // k + 1), limit)  # before any n is computed
-    if route.range is not None:
-        raw = route.range(k, n_max)
-    else:
-        raw = [route.point(k, n) for n in range(n_max + 1)]
-    return [_orient(v, n, route.ordered, ordered) for n, v in enumerate(raw)]
+    with _exit_3_on_memory_error(route, k, n_max):
+        if route.range is not None:
+            raw = route.range(k, n_max)
+        else:
+            raw = [route.point(k, n) for n in range(n_max + 1)]
+        return [_orient(v, n, route.ordered, ordered) for n, v in enumerate(raw)]
 
 
 @click.group()
@@ -152,7 +165,9 @@ def count(k: int, n: int, ordered: bool, method: str, trace: bool, limit: int):
     if not trace:
         route = resolve(k, ordered, method)
         _refuse_oversized(route, k, n, limit)
-        click.echo(str(_orient(route.point(k, n), n, route.ordered, ordered)))
+        with _exit_3_on_memory_error(route, k, n):
+            value = _orient(route.point(k, n), n, route.ordered, ordered)
+        click.echo(str(value))
         return
     if method not in ("auto", "incl-excl"):
         raise click.UsageError("--trace is only available for --method incl-excl")

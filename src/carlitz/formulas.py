@@ -6,7 +6,7 @@ copies are glued into) gives one signed term.  Three entry points serve
 every k: terms(k, n) computes each term on its own; inclusion_exclusion(k,
 n) walks from one term to the next (a_1(n) = n!); and
 inclusion_exclusion_range(k, n_max) serves every n up to n_max from one
-tabulation of the last two rows' sums.
+tabulation of the last three rows' sums.
 
 Independently, the factorial substitution phi (t^j -> j!) counts the
 Carlitz words over any multiset (m_1, ..., m_r) as phi(prod L_{m_i}(t)).
@@ -22,7 +22,7 @@ away.
 
 from __future__ import annotations
 
-from math import perm
+from math import lcm, perm
 from typing import Iterable, Iterator, NamedTuple
 
 from .exact import compositions, exact_div, factorial, multinomial, phi, poly_mul
@@ -134,16 +134,17 @@ def inclusion_exclusion(k: int, n: int) -> int:
 def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
     """[a_k(0), ..., a_k(n_max)] by the k sum, for k = 1..4, all n at once.
 
-    A composition splits into outer parts c (every row but the last two;
-    S symbols, B blocks) and the last two rows (b, d, s) and (1, 1, s_m),
-    which share R = n - S symbols.  Scaled by d^R, their sum over every
-    split of the R symbols is G(R, B + R), where Pascal's rule on C(R, j)
-    gives
-        G(0, L) = L!,  G(R, L) = d*s_m*G(R-1, L) + s*G(R-1, L + b - 1).
-    The rows are built one R at a time, each only as wide as the later
-    rows and the outer blocks need, and every outer composition adds
-        C(n, R) * sign * multinomial(S; c) * G(R, B + R) / (prod d_i^c_i * d^R)
-    to n = R + S with one checked division.
+    A composition splits into outer parts c (every row but the last three;
+    S symbols, B blocks; none for k = 2, 3) and the tabulated rows
+    (b_i, d_i, s_i), the last three (both for k = 2), which share the
+    T = n - S other symbols.  Scaled by D^T, with D the lcm of their
+    divisors, their sum over every split of the T symbols is H(T, B),
+    where the row of the first of the T symbols gives
+        H(0, L) = L!,  H(T, L) = sum over i of s_i * (D / d_i) * H(T-1, L + b_i).
+    The table is built one T at a time, each level only as wide as the
+    later levels and the outer blocks need, and every outer composition adds
+        C(n, T) * sign * multinomial(S; c) * H(T, B) / (prod d^c * D^T)
+    to n = S + T with one checked division.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -151,15 +152,20 @@ def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
         raise ValueError(f"incl-excl supports k=1..4 only, not k={k}")
     if k == 1:
         return [factorial(n) for n in range(n_max + 1)]
-    *outer, (b, d, s), (_, _, s_m) = PATTERNS[k]
-    width = max([b] + [blocks for blocks, _, _ in outer])
+    rows = PATTERNS[k]
+    outer, tabulated = rows[:-3], rows[-3:]
+    scale = lcm(*(div for _, div, _ in tabulated))
+    (b0, c0), (b1, c1), *steps = [
+        (blocks, sign * exact_div(scale, div)) for blocks, div, sign in tabulated
+    ]
+    width = max(blocks for blocks, _, _ in rows)
     out = [0] * (n_max + 1)
 
     def walk(part: int, term: int, den: int, length: int, placed: int) -> None:
-        # term = C(placed, R) * sign * multinomial(placed - R; c so far),
-        # length = B so far, and g[length] = G(R, R + B).
+        # term = C(placed, T) * sign * multinomial(placed - T; c so far),
+        # length = B so far, and h[length] = H(T, B).
         if part == len(outer):
-            out[placed] += exact_div(term * g[length], den)
+            out[placed] += exact_div(term * h[length], den)
             return
         blocks, div, sign = outer[part]
         moved = 0
@@ -173,11 +179,14 @@ def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
             den *= div
             length += blocks
 
-    g = [factorial(length) for length in range(width * n_max + 1)]
-    for R in range(n_max + 1):
-        if R:
-            g = [d * s_m * g[i + 1] + s * g[i + b] for i in range(width * (n_max - R) + 1)]
-        walk(0, 1, d**R, 0, R)
+    h = [factorial(length) for length in range(width * n_max + 1)]
+    for T in range(n_max + 1):
+        if T:  # h[L] becomes H(T, L): the first two tabulated rows in one pass, a third in another
+            g = [c0 * x + c1 * y for x, y in zip(h[b0 : b0 + width * (n_max - T) + 1], h[b1:])]
+            for b, c in steps:
+                g = [y + c * x for y, x in zip(g, h[b:])]
+            h = g
+        walk(0, 1, scale**T, 0, T)
     return out
 
 

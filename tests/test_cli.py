@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carlitz
 from carlitz import formulas, recurrences, words
 from carlitz.cli import METHODS, ROUTES, main, resolve
 
@@ -183,6 +186,39 @@ def test_unindexable_n_exits_2(runner, tmp_path, args):
     r = run(runner, *(bfile if a == "BFILE" else a for a in args))
     assert (r.exit_code, r.stdout) == (2, "")
     assert_clean_exit(r)
+
+
+#: The child runs the CLI with its address space capped at 256 MB, so an
+#: allocation past that fails in the child, soon and without touching the
+#: host's memory.
+CAPPED_CHILD = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1 << 28 if hard == resource.RLIM_INFINITY else min(hard, 1 << 28)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from carlitz.cli import main
+main(sys.argv[1:])
+"""
+
+
+@pytest.mark.parametrize("args,stderr", [
+    # The range allocates its n_max + 1 results first.
+    (("table", "--k", 2, "--n-max", 10**12, "--method", "incl-excl"),
+     f"out of memory: incl-excl for k=2 up to n={10**12}\n"),
+    (("count", "--k", 4, "--n", 10**12, "--method", "phi"),
+     f"out of memory: phi for k=4 up to n={10**12}\n"),
+    # The recurrence grows its list of every n up to the last index.
+    (("oeis-check", "BFILE", "--k", 2),
+     f"out of memory: recurrence for k=2 up to n={10**12}\n"),
+], ids=["table-incl-excl", "count-phi", "oeis-check"])
+def test_out_of_memory_exits_3(tmp_path, args, stderr):
+    bfile = tmp_path / "b.txt"
+    bfile.write_text(f"0 1\n{10**12} 5\n", encoding="utf-8")
+    args = [str(bfile if a == "BFILE" else a) for a in args]
+    env = dict(os.environ, PYTHONPATH=str(Path(carlitz.__file__).parents[1]))
+    r = subprocess.run([sys.executable, "-c", CAPPED_CHILD, *args],
+                       capture_output=True, text=True, env=env, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (3, "", stderr)
 
 
 def table_rows(stdout, fmt):

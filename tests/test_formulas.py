@@ -88,10 +88,11 @@ def test_terms_rejects_bad_input_at_once(k, n):
 
 def test_wrong_pattern_divisor_raises(monkeypatch):
     # A divisor that does not divide its term must abort the term stream,
-    # the walk and the range table rather than round: once in an outer
-    # row, once in the pair of rows the range table tabulates.
+    # the walk and the range table rather than round: in each of the two
+    # outer rows the range table walks, and in the first two of the three
+    # rows it tabulates.
     rows = formulas.PATTERNS[4]
-    for index, wrong in ((0, (4, 48, 1)), (3, (2, 4, 1))):
+    for index, wrong in ((0, (4, 48, 1)), (1, (3, 4, -1)), (2, (2, 4, 1)), (3, (2, 4, 1))):
         monkeypatch.setitem(formulas.PATTERNS, 4, rows[:index] + (wrong,) + rows[index + 1:])
         with pytest.raises(InexactDivisionError):
             list(formulas.terms(4, 1))
@@ -99,6 +100,14 @@ def test_wrong_pattern_divisor_raises(monkeypatch):
             a4_inclusion_exclusion(1)
         with pytest.raises(InexactDivisionError):
             formulas.inclusion_exclusion_range(4, 1)
+
+
+@pytest.mark.parametrize("k,n_max", [(2, 40), (3, 24), (4, 12)])
+def test_range_matches_term_streams(k, n_max):
+    """The range table equals the sum of the literal terms at every n."""
+    assert formulas.inclusion_exclusion_range(k, n_max) == [
+        sum(t.value for t in formulas.terms(k, n)) for n in range(n_max + 1)
+    ]
 
 
 @pytest.mark.parametrize("k,n_max", [(1, 60), (2, 60), (3, 40), (4, 16)])
