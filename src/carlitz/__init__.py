@@ -20,6 +20,7 @@ from .formulas import (
     phi_base,
     phi_count,
     phi_count_range,
+    phi_count_stream,
     terms,
     upper_bound,
 )
@@ -30,6 +31,7 @@ from .recurrences import (
     a3_prime_fourterm_range,
     prime,
     prime_range,
+    prime_stream,
     state,
     states,
 )
@@ -71,9 +73,11 @@ __all__ = [
     "phi_base",
     "phi_count",
     "phi_count_range",
+    "phi_count_stream",
     "poly_mul",
     "prime",
     "prime_range",
+    "prime_stream",
     "read_bfile",
     "state",
     "states",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 _DATA_LINE = re.compile(r"^\s*(-?\d+)\s+(-?\d+)\s*$", re.ASCII)
 
@@ -49,13 +49,29 @@ def parse_bfile_lines(lines: Iterable[str]) -> list[BFileEntry]:
     return entries
 
 
+def _lines(file: BinaryIO) -> Iterator[str]:
+    """The file's lines, decoded one at a time; line ends are "\\n", "\\r\\n"
+    and "\\r", as in text mode.  A byte that is not UTF-8 is reported at
+    its offset into the file."""
+    offset = 0
+    for raw in file:  # split at b"\n" only; "\r" is never part of a multibyte character
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BFileFormatError(f"byte {offset + exc.start}: not UTF-8 text") from exc
+        offset += len(raw)
+        yield from text.removesuffix("\n").removesuffix("\r").split("\r")
+
+
 def read_bfile(path: str | Path) -> list[BFileEntry]:
-    """Read and parse a b-file from disk; bytes that are not UTF-8 are a
-    format error, like any other unreadable line."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise BFileFormatError(f"byte {exc.start}: not UTF-8 text") from exc
-    # Split at "\n" only; read_text() made "\r\n" and "\r" into "\n".
-    lines = text.split("\n")
-    return parse_bfile_lines(lines[:-1] if lines[-1] == "" else lines)
+    """Read and parse a b-file from disk, one line at a time; bytes that
+    are not UTF-8 are a format error, like any other unreadable line, and
+    the one reported wherever else the file fails."""
+    with open(path, "rb") as file:
+        lines = _lines(file)
+        try:
+            return parse_bfile_lines(lines)
+        except BFileFormatError:
+            for _ in lines:  # a later byte that is not UTF-8 raises instead
+                pass
+            raise

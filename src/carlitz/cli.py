@@ -9,17 +9,22 @@ Usage:
     carlitz oeis-check b114938.txt --k 2              # diff against a b-file
 
 All printed values are exact decimal integers, never rounded or
-abbreviated.  Exit codes: 0 success, 1 verification or b-file mismatch,
-2 usage or format error, 3 refusal of an oversized brute-force request or
-a route that ran out of memory (one stderr line, no traceback).
+abbreviated.  `table` writes each row as soon as its value is computed
+and `oeis-check` compares each b-file entry as the values pass it, so
+their memory is one engine window plus the b-file.  Exit codes: 0
+success, 1 verification or b-file mismatch, 2 usage or format error, 3
+refusal of an oversized brute-force request or a route that ran out of
+memory (one stderr line, no traceback).  A refusal, usage or format
+error, or a route that fails before its first value leaves stdout empty;
+a table that runs out of memory later keeps the rows already written.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from contextlib import contextmanager
-from typing import Callable, Iterator, NamedTuple
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import click
 
@@ -53,7 +58,7 @@ class Route(NamedTuple):
     ordered: bool  # counts ordered words natively
     sized: bool  # refused past --limit letters
     point: Callable[[int, int], int] | None  # (k, n) -> count
-    range: Callable[[int, int], list[int]] | None = None  # (k, n_max) -> counts
+    range: Callable[[int, int], Iterable[int]] | None = None  # (k, n_max) -> counts for n = 0..n_max
 
     def serves(self, k: int) -> bool:
         return self.ks is None or k in self.ks
@@ -68,12 +73,12 @@ ROUTES = (
           lambda k, n_max: formulas.inclusion_exclusion_range(k, n_max)),
     Route("recurrence", range(2, 5), True, False,
           lambda k, n: recurrences.prime(k, n),
-          lambda k, n_max: recurrences.prime_range(k, n_max)),
+          lambda k, n_max: recurrences.prime_stream(k, n_max)),
     Route("four-term", range(3, 4), True, False, None,
           lambda k, n_max: recurrences.a3_prime_fourterm_range(n_max)),
     Route("phi", range(4, 5), False, False,
           lambda k, n: formulas.phi_count((k,) * n),
-          lambda k, n_max: formulas.phi_count_range(k, n_max)),
+          lambda k, n_max: formulas.phi_count_stream(k, n_max)),
     Route("brute", None, False, True,
           lambda k, n: words.count_carlitz_total(MultiplicityVector.uniform(k, n))),
     Route("brute-ordered", None, True, True,
@@ -131,15 +136,24 @@ def _exit_3_on_memory_error(route: Route, k: int, n: int) -> Iterator[None]:
         sys.exit(3)
 
 
-def _values(route: Route, k: int, n_max: int, ordered: bool, limit: int) -> list[int]:
-    """Values for n = 0..n_max; routes with a range callable advance incrementally."""
-    _refuse_oversized(route, k, min(n_max, limit // k + 1), limit)  # before any n is computed
+def _values(route: Route, k: int, n_max: int, ordered: bool, limit: int) -> Iterator[int]:
+    """Values for n = 0..n_max, each computed as the caller takes it; routes
+    with a range callable advance incrementally.  A refusal exits here,
+    before any n is computed."""
+    _refuse_oversized(route, k, min(n_max, limit // k + 1), limit)
+    return _stream(route, k, n_max, ordered)
+
+
+def _stream(route: Route, k: int, n_max: int, ordered: bool) -> Iterator[int]:
+    # The guard stays open while the caller draws values, so a MemoryError
+    # at any n, not only in setting up the route, exits 3.
     with _exit_3_on_memory_error(route, k, n_max):
         if route.range is not None:
             raw = route.range(k, n_max)
         else:
-            raw = [route.point(k, n) for n in range(n_max + 1)]
-        return [_orient(v, n, route.ordered, ordered) for n, v in enumerate(raw)]
+            raw = (route.point(k, n) for n in range(n_max + 1))
+        for n, v in enumerate(raw):
+            yield _orient(v, n, route.ordered, ordered)
 
 
 @click.group()
@@ -195,18 +209,26 @@ def count(k: int, n: int, ordered: bool, method: str, trace: bool, limit: int):
 @click.option("--format", "fmt", type=click.Choice(("text", "csv", "json")), default="text", show_default=True)
 @click.option("--limit", type=click.IntRange(min=0), default=DEFAULT_SYMBOL_LIMIT, show_default=True, help="Refuse brute force beyond this total word length.")
 def table(k: int, n_max: int, ordered: bool, method: str, fmt: str, limit: int):
-    """Print values for n = 0..n-max."""
-    values = _values(resolve(k, ordered, method), k, n_max, ordered, limit)
+    """Print values for n = 0..n-max, each row as soon as it is computed."""
+    rows = enumerate(_values(resolve(k, ordered, method), k, n_max, ordered, limit))
+    # What opens the table (the csv header, json's "[") goes out with the
+    # first row, so a route that fails before it leaves stdout empty.
     if fmt == "csv":
-        click.echo("n,value")
-        for n, v in enumerate(values):
-            click.echo(f"{n},{v}")
+        head = "n,value\n"
+        for n, v in rows:
+            click.echo(f"{head}{n},{v}")
+            head = ""
     elif fmt == "json":
-        payload = [{"n": n, "value": str(v)} for n, v in enumerate(values)]
-        click.echo(json.dumps(payload, indent=2))
+        # The bytes of json.dumps(payload, indent=2) for payload
+        # [{"n": n, "value": str(v)}, ...]: decimal strings need no escapes.
+        head = "[\n"
+        for n, v in rows:
+            click.echo(f'{head}  {{\n    "n": {n},\n    "value": "{v}"\n  }}', nl=False)
+            head = ",\n"
+        click.echo("\n]")
     else:
         width = len(str(n_max))
-        for n, v in enumerate(values):
+        for n, v in rows:
             click.echo(f"{n:>{width}}  {v}")
 
 
@@ -226,7 +248,7 @@ def verify(k: int, n_max: int, limit: int):
         if route.serves(k):
             top = min(n_max, limit // k) if route.sized else n_max
             label = f"{route.name}*n!" if route.ordered else route.name
-            columns[label] = _values(route, k, top, False, limit)
+            columns[label] = list(_values(route, k, top, False, limit))
 
     for name, values in columns.items():
         click.echo(f"  {name}: n = 0..{len(values) - 1}")
@@ -251,7 +273,8 @@ def verify(k: int, n_max: int, limit: int):
 @click.option("--method", type=click.Choice(("auto",) + METHODS), default="auto", show_default=True)
 @click.option("--limit", type=click.IntRange(min=0), default=DEFAULT_SYMBOL_LIMIT, show_default=True, help="Refuse brute force beyond this total word length.")
 def oeis_check(file: str, k: int, ordered: bool, offset: int, method: str, limit: int):
-    """Compare a local OEIS b-file against computed values."""
+    """Compare a local OEIS b-file against computed values, each entry as
+    the values pass its n."""
     route = resolve(k, ordered, method)
     try:
         entries = read_bfile(file)
@@ -266,16 +289,24 @@ def oeis_check(file: str, k: int, ordered: bool, offset: int, method: str, limit
         index, what = (first, "negative n") if first < offset else (last, f"n past {MAX_N}")
         click.echo(f"index {index} with offset {offset} gives {what}", err=True)
         sys.exit(2)
-    computed = _values(route, k, last - offset, ordered, limit)
-    bad = [e for e in entries if computed[e.index - offset] != e.value]
-    matched = f"{len(entries) - len(bad)}/{len(entries)} match"
-    if not bad:
+    computed = _values(route, k, last - offset, ordered, limit)  # ends at the last entry
+    mismatches, first = 0, None
+    taken = 0  # values drawn from computed so far
+    for entry in entries:
+        n = entry.index - offset
+        value = next(islice(computed, n - taken, None))
+        taken = n + 1
+        if value != entry.value:
+            mismatches += 1
+            first = first or (entry, value)
+    matched = f"{len(entries) - mismatches}/{len(entries)} match"
+    if not mismatches:
         click.echo(matched)
         return
-    entry = bad[0]
+    entry, value = first
     click.echo(
         f"{matched}; first mismatch at index {entry.index}: "
-        f"file has {entry.value}, computed {computed[entry.index - offset]}"
+        f"file has {entry.value}, computed {value}"
     )
     sys.exit(1)
 

@@ -214,28 +214,41 @@ def phi_count(mults: Iterable[int]) -> int:
     remainder means a base coefficient is wrong.
     """
     poly, scale = [1], 1
+    bases: dict[int, list[int]] = {}  # phi_base(m), built once per distinct m
     for m in mults:
-        poly = poly_mul(phi_base(m), poly)
+        if m not in bases:
+            bases[m] = phi_base(m)
+        poly = poly_mul(bases[m], poly)
         scale *= factorial(m)
     return exact_div(phi(poly), scale)
 
 
-def phi_count_range(k: int, n_max: int) -> list[int]:
-    """[a_k(0), ..., a_k(n_max)] by the phi route.
+def phi_count_stream(k: int, n_max: int) -> Iterator[int]:
+    """a_k(0), ..., a_k(n_max) by the phi route, computed as they are taken.
 
     One polynomial multiply per step instead of an independent product,
-    so a whole table costs barely more than its last entry.
+    so a whole table costs barely more than its last entry, and only the
+    current product is held.  A bad k or n_max raises here, before the
+    first value.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    base = phi_base(k)
-    poly, scale = [1], 1
-    out = [1]
-    for _ in range(n_max):
-        poly = poly_mul(base, poly)
-        scale *= factorial(k)
-        out.append(exact_div(phi(poly), scale))
-    return out
+    base, step = phi_base(k), factorial(k)
+
+    def counts() -> Iterator[int]:
+        poly, scale = [1], 1
+        yield 1
+        for _ in range(n_max):
+            poly = poly_mul(base, poly)
+            scale *= step
+            yield exact_div(phi(poly), scale)
+
+    return counts()
+
+
+def phi_count_range(k: int, n_max: int) -> list[int]:
+    """[a_k(0), ..., a_k(n_max)] by the phi route, in one pass of its steps."""
+    return list(phi_count_stream(k, n_max))
 
 
 def upper_bound(k: int, n: int) -> int:

@@ -2,7 +2,7 @@
 
 Four engines, all iterative with a sliding window of recent states so
 n in the tens of thousands runs without touching any recursion limit
-and, for single-value queries, in window-bounded memory:
+and, for single values and streamed ranges, in window-bounded memory:
 
 * k = 2: three-term recurrence p_{n+1} = (2n+1) p_n + p_{n-1};
 * k = 3: coupled system over p_n (ordered words on 1^3..n^3) and q_n
@@ -90,10 +90,10 @@ def _nth(counts: Iterator[tuple], n: int) -> tuple:
     return next(islice(counts, n, None))
 
 
-def _upto(counts: Iterator[tuple], n_max: int) -> list[tuple]:
+def _upto(counts: Iterator[tuple], n_max: int) -> Iterator[tuple]:
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    return list(islice(counts, n_max + 1))
+    return islice(counts, n_max + 1)
 
 
 def _iter_a2_prime() -> Iterator[tuple[int]]:
@@ -248,6 +248,13 @@ def prime(k: int, n: int) -> int:
     return _nth(_engine(k), n)[0]
 
 
+def prime_stream(k: int, n_max: int) -> Iterator[int]:
+    """a'_k(0), ..., a'_k(n_max) for k = 2, 3, 4, stepped as they are taken,
+    so only the engine's window of recent states is held.  A bad k or
+    n_max raises here, before the first value."""
+    return (c[0] for c in _upto(_engine(k), n_max))
+
+
 def prime_range(k: int, n_max: int) -> list[int]:
     """[a'_k(0), ..., a'_k(n_max)] for k = 2, 3, 4, in one pass of that engine."""
-    return [c[0] for c in _upto(_engine(k), n_max)]
+    return list(prime_stream(k, n_max))

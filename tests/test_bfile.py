@@ -121,3 +121,51 @@ def test_blank_lines_stay_errors(tmp_path, text, lineno):
     with pytest.raises(BFileFormatError) as exc:
         read_text(tmp_path, text)
     assert str(exc.value).startswith(f"line {lineno}: ")
+
+
+def read_bytes(tmp_path, data):
+    path = tmp_path / "b.txt"
+    path.write_bytes(data)
+    return read_bfile(path)
+
+
+@pytest.mark.parametrize("tail,at", [(b"\xff\n", 0), (b"7 \xe2\x82\n", 2), (b"7 \xe2\x82", 2)])
+def test_bad_byte_is_reported_at_its_file_offset(tmp_path, tail, at):
+    # Past 20 KiB of valid lines, so past the first chunk a text-mode
+    # reader would decode; the offset counts from the start of the file.
+    head = b"".join(b"%d %d\n" % (n, n * n) for n in range(2500))
+    assert len(head) > 20 * 1024
+    with pytest.raises(BFileFormatError) as exc:
+        read_bytes(tmp_path, head + tail)
+    assert str(exc.value) == f"byte {len(head) + at}: not UTF-8 text"
+
+
+def test_bad_byte_outranks_an_earlier_bad_line(tmp_path):
+    # Every byte must be UTF-8 before any line counts, wherever it fails.
+    with pytest.raises(BFileFormatError) as exc:
+        read_bytes(tmp_path, b"0 1\nnot numbers\n2 5\n\xff\n")
+    assert str(exc.value) == "byte 20: not UTF-8 text"
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r", "\r\n"])
+def test_line_numbers_follow_every_line_end(tmp_path, sep):
+    text = sep.join(["# h", "0 1", "1 0", "2 x"]) + sep
+    with pytest.raises(BFileFormatError) as exc:
+        read_text(tmp_path, text)
+    assert str(exc.value) == "line 4: not a b-file data line: '2 x'"
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("0 1\r\r\n1 0\n", 2),  # "\r" then "\r\n": two line ends
+    ("0 1\n\r1 0\n", 2),
+    ("0 1\r\r", 2),
+])
+def test_mixed_line_ends_keep_their_blank_lines(tmp_path, text, lineno):
+    with pytest.raises(BFileFormatError) as exc:
+        read_text(tmp_path, text)
+    assert str(exc.value) == f"line {lineno}: not a b-file data line: ''"
+
+
+@pytest.mark.parametrize("text", ["0 1\r1 0", "0 1\r1 0\r", "0 1\r1 0\r\n", "0 1\n1 0\r"])
+def test_last_line_end_is_optional(tmp_path, text):
+    assert read_text(tmp_path, text) == [BFileEntry(0, 1), BFileEntry(1, 0)]

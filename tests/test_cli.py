@@ -201,24 +201,37 @@ main(sys.argv[1:])
 """
 
 
+def run_capped(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(carlitz.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", CAPPED_CHILD, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("args,stderr", [
     # The range allocates its n_max + 1 results first.
     (("table", "--k", 2, "--n-max", 10**12, "--method", "incl-excl"),
      f"out of memory: incl-excl for k=2 up to n={10**12}\n"),
     (("count", "--k", 4, "--n", 10**12, "--method", "phi"),
      f"out of memory: phi for k=4 up to n={10**12}\n"),
-    # The recurrence grows its list of every n up to the last index.
-    (("oeis-check", "BFILE", "--k", 2),
-     f"out of memory: recurrence for k=2 up to n={10**12}\n"),
+    # The inclusion-exclusion range tabulates up to the last index at once.
+    (("oeis-check", "BFILE", "--k", 2, "--method", "incl-excl"),
+     f"out of memory: incl-excl for k=2 up to n={10**12}\n"),
 ], ids=["table-incl-excl", "count-phi", "oeis-check"])
 def test_out_of_memory_exits_3(tmp_path, args, stderr):
     bfile = tmp_path / "b.txt"
     bfile.write_text(f"0 1\n{10**12} 5\n", encoding="utf-8")
-    args = [str(bfile if a == "BFILE" else a) for a in args]
-    env = dict(os.environ, PYTHONPATH=str(Path(carlitz.__file__).parents[1]))
-    r = subprocess.run([sys.executable, "-c", CAPPED_CHILD, *args],
-                       capture_output=True, text=True, env=env, timeout=60)
+    r = run_capped(*(bfile if a == "BFILE" else a for a in args))
     assert (r.returncode, r.stdout, r.stderr) == (3, "", stderr)
+
+
+def test_oeis_check_streams_in_bounded_memory(runner, tmp_path):
+    # The values up to a'_2(30000) take ~800 MB as a list; streamed, only
+    # the recurrence window and the b-file's two entries are held.
+    value = run(runner, "count", "--k", 2, "--n", 30000, "--ordered").output.strip()
+    bfile = tmp_path / "b.txt"
+    bfile.write_text(f"0 1\n30000 {value}\n", encoding="utf-8")
+    r = run_capped("oeis-check", bfile, "--k", 2, "--ordered")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "2/2 match\n", "")
 
 
 def table_rows(stdout, fmt):
@@ -474,6 +487,32 @@ class TestTable:
     def test_brute_refusal_exits_3(self, runner):
         assert run(runner, "table", "--k", 5, "--n-max", 5,
                    "--method", "brute").exit_code == 3
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_refusal_prints_nothing_on_stdout(self, runner, fmt):
+        # Rows stream as they are computed, but a refused range writes no
+        # header or opening bracket first.
+        r = run(runner, "table", "--k", 3, "--n-max", 9, "--method", "brute", "--format", fmt)
+        assert (r.exit_code, r.stdout) == (3, "")
+        assert r.stderr == "refused: total counting refused: total length 27 exceeds limit 24\n"
+
+    @pytest.mark.parametrize("n_max", [0, 1, 12])
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_streamed_bytes_match_whole_table_formatting(self, runner, n_max, ordered):
+        values = (recurrences.prime_range(3, n_max) if ordered
+                  else formulas.inclusion_exclusion_range(3, n_max))
+        flag = ["--ordered"] if ordered else []
+
+        def table(fmt):
+            r = run(runner, "table", "--k", 3, "--n-max", n_max, "--format", fmt, *flag)
+            assert r.exit_code == 0
+            return r.stdout
+
+        payload = [{"n": n, "value": str(v)} for n, v in enumerate(values)]
+        assert table("json") == json.dumps(payload, indent=2) + "\n"
+        assert table("csv") == "n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values))
+        width = len(str(n_max))
+        assert table("text") == "".join(f"{n:>{width}}  {v}\n" for n, v in enumerate(values))
 
     def test_oversized_brute_refused_before_any_n(self, runner, monkeypatch, tmp_path):
         # table and oeis-check both refuse a brute range whose last n is
