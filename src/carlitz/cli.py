@@ -16,7 +16,8 @@ success, 1 verification or b-file mismatch, 2 usage or format error, 3
 refusal of an oversized brute-force request or a route that ran out of
 memory (one stderr line, no traceback).  A refusal, usage or format
 error, or a route that fails before its first value leaves stdout empty;
-a table that runs out of memory later keeps the rows already written.
+a table or a --trace that runs out of memory later keeps the lines
+already written.
 """
 
 from __future__ import annotations
@@ -192,12 +193,13 @@ def count(k: int, n: int, ordered: bool, method: str, trace: bool, limit: int):
     except ValueError:
         raise click.UsageError("--trace is only available for k=2,3,4")
     total = 0
-    for term in terms:
-        pattern = " ".join(
-            f"{'stuvw'[i]}={c}" for i, c in enumerate(term.composition)
-        )
-        click.echo(f"{pattern}  {term.value:+d}")
-        total += term.value
+    with _exit_3_on_memory_error(_BY_NAME["incl-excl"], k, n):
+        for term in terms:
+            pattern = " ".join(
+                f"{'stuvw'[i]}={c}" for i, c in enumerate(term.composition)
+            )
+            click.echo(f"{pattern}  {term.value:+d}")
+            total += term.value
     click.echo(f"total {total}")
 
 

@@ -101,7 +101,12 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def phi(p: Sequence[int]) -> int:
     """Factorial substitution: replace every t**m by m! and sum.
 
-    Linear in p.  On an integer polynomial the value is an integer; the
-    caller divides out whatever scaling made the coefficients integral.
+    Linear in p.  Evaluated by Horner's rule, c_0 + 1*(c_1 + 2*(c_2 +
+    ...)), so each step multiplies by a small m instead of by m!.  On an
+    integer polynomial the value is an integer; the caller divides out
+    whatever scaling made the coefficients integral.
     """
-    return sum(c * factorial(m) for m, c in enumerate(p) if c)
+    acc = 0
+    for m in range(len(p) - 1, 0, -1):
+        acc = (acc + p[m]) * m
+    return acc + p[0] if p else 0

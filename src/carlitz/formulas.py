@@ -6,7 +6,7 @@ copies are glued into) gives one signed term.  Three entry points serve
 every k: terms(k, n) computes each term on its own; inclusion_exclusion(k,
 n) walks from one term to the next (a_1(n) = n!); and
 inclusion_exclusion_range(k, n_max) serves every n up to n_max from one
-tabulation of the last three rows' sums.
+tabulation of the last four rows' sums.
 
 Independently, the factorial substitution phi (t^j -> j!) counts the
 Carlitz words over any multiset (m_1, ..., m_r) as phi(prod L_{m_i}(t)).
@@ -134,13 +134,14 @@ def inclusion_exclusion(k: int, n: int) -> int:
 def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
     """[a_k(0), ..., a_k(n_max)] by the k sum, for k = 1..4, all n at once.
 
-    A composition splits into outer parts c (every row but the last three;
-    S symbols, B blocks; none for k = 2, 3) and the tabulated rows
-    (b_i, d_i, s_i), the last three (both for k = 2), which share the
-    T = n - S other symbols.  Scaled by D^T, with D the lcm of their
-    divisors, their sum over every split of the T symbols is H(T, B),
-    where the row of the first of the T symbols gives
+    A composition splits into outer parts c (every row but the last four;
+    S symbols, B blocks; k=4's 4-block row, none for k = 2, 3) and the
+    tabulated rows (b_i, d_i, s_i), the last four (all of them for k = 2,
+    3), which share the T = n - S other symbols.  Scaled by D^T, with D
+    the lcm of their divisors, their sum over every split of the T symbols
+    is H(T, B), where the row of the first of the T symbols gives
         H(0, L) = L!,  H(T, L) = sum over i of s_i * (D / d_i) * H(T-1, L + b_i).
+    Rows with the same block count share one coefficient in that step.
     The table is built one T at a time, each level only as wide as the
     later levels and the outer blocks need, and every outer composition adds
         C(n, T) * sign * multinomial(S; c) * H(T, B) / (prod d^c * D^T)
@@ -153,11 +154,12 @@ def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
     if k == 1:
         return [factorial(n) for n in range(n_max + 1)]
     rows = PATTERNS[k]
-    outer, tabulated = rows[:-3], rows[-3:]
+    outer, tabulated = rows[:-4], rows[-4:]
     scale = lcm(*(div for _, div, _ in tabulated))
-    (b0, c0), (b1, c1), *steps = [
-        (blocks, sign * exact_div(scale, div)) for blocks, div, sign in tabulated
-    ]
+    step: dict[int, int] = {}  # blocks -> summed scaled coefficient
+    for blocks, div, sign in tabulated:
+        step[blocks] = step.get(blocks, 0) + sign * exact_div(scale, div)
+    (b0, c0), *steps = step.items()
     width = max(blocks for blocks, _, _ in rows)
     out = [0] * (n_max + 1)
 
@@ -181,8 +183,10 @@ def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
 
     h = [factorial(length) for length in range(width * n_max + 1)]
     for T in range(n_max + 1):
-        if T:  # h[L] becomes H(T, L): the first two tabulated rows in one pass, a third in another
-            g = [c0 * x + c1 * y for x, y in zip(h[b0 : b0 + width * (n_max - T) + 1], h[b1:])]
+        if T:  # h[L] becomes H(T, L), one list pass per block count (none for a leading 1)
+            g = h[b0 : b0 + width * (n_max - T) + 1]
+            if c0 != 1:
+                g = [c0 * x for x in g]
             for b, c in steps:
                 g = [y + c * x for y, x in zip(g, h[b:])]
             h = g

@@ -216,7 +216,10 @@ def run_capped(*args):
     # The inclusion-exclusion range tabulates up to the last index at once.
     (("oeis-check", "BFILE", "--k", 2, "--method", "incl-excl"),
      f"out of memory: incl-excl for k=2 up to n={10**12}\n"),
-], ids=["table-incl-excl", "count-phi", "oeis-check"])
+    # The first term, s = n, already needs 2**n as its divisor.
+    (("count", "--k", 2, "--n", 10**12, "--trace"),
+     f"out of memory: incl-excl for k=2 up to n={10**12}\n"),
+], ids=["table-incl-excl", "count-phi", "oeis-check", "count-trace"])
 def test_out_of_memory_exits_3(tmp_path, args, stderr):
     bfile = tmp_path / "b.txt"
     bfile.write_text(f"0 1\n{10**12} 5\n", encoding="utf-8")

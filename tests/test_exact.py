@@ -3,9 +3,10 @@
 import threading
 from itertools import zip_longest
 from math import comb
+from math import factorial as math_factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carlitz.exact import (
@@ -157,6 +158,18 @@ def test_phi_fixed_points():
 
 def add(a, b):
     return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+@given(st.lists(st.integers(-(10**30), 10**30), max_size=40), st.integers(0, 5))
+@example([], 0)
+@example([7], 0)
+@example([-3], 4)
+@example([0, 0, 5], 3)
+@settings(max_examples=200)
+def test_phi_matches_the_factorial_sum(p, zeros):
+    """Horner's rule gives the defining sum of c_m * m!, trailing zeros included."""
+    p = p + [0] * zeros
+    assert phi(p) == sum(c * math_factorial(m) for m, c in enumerate(p))
 
 
 @given(small_polys, small_polys)
