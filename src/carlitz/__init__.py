@@ -19,7 +19,6 @@ from .formulas import (
     inclusion_exclusion_range,
     phi_base,
     phi_count,
-    phi_count_range,
     phi_count_stream,
     terms,
     upper_bound,
@@ -30,7 +29,6 @@ from .recurrences import (
     a3_prime_fourterm,
     a3_prime_fourterm_range,
     prime,
-    prime_range,
     prime_stream,
     state,
     states,
@@ -72,11 +70,9 @@ __all__ = [
     "phi",
     "phi_base",
     "phi_count",
-    "phi_count_range",
     "phi_count_stream",
     "poly_mul",
     "prime",
-    "prime_range",
     "prime_stream",
     "read_bfile",
     "state",

@@ -3,10 +3,10 @@
 Inclusion-exclusion sums for k = 2, 3, 4: a composition of the n symbols
 over the blocking patterns in PATTERNS (how many blocks each symbol's
 copies are glued into) gives one signed term.  Three entry points serve
-every k: terms(k, n) computes each term on its own; inclusion_exclusion(k,
-n) walks from one term to the next (a_1(n) = n!); and
-inclusion_exclusion_range(k, n_max) serves every n up to n_max from one
-tabulation of the last four rows' sums.
+them: terms(k, n), for k = 2, 3, 4, computes each term on its own;
+inclusion_exclusion(k, n), for k = 1..4, walks from one term to the next
+(a_1(n) = n!); and inclusion_exclusion_range(k, n_max), for k = 1..4,
+serves every n up to n_max from one tabulation of the last four rows' sums.
 
 Independently, the factorial substitution phi (t^j -> j!) counts the
 Carlitz words over any multiset (m_1, ..., m_r) as phi(prod L_{m_i}(t)).
@@ -60,12 +60,15 @@ def terms(k: int, n: int) -> Iterator[Term]:
     rows = PATTERNS[k]
 
     def term(comp: tuple[int, ...]) -> Term:
+        # Multinomial first: for a huge n it runs out of memory sooner than
+        # the divisor, which would square its way up to d**n.
+        mult = multinomial(n, comp)
         length, div, negative = 0, 1, 0
         for (blocks, d, sign), c in zip(rows, comp):
             length += blocks * c
             div *= d**c
             negative ^= c & 1 if sign < 0 else 0
-        mag = multinomial(n, comp) * exact_div(factorial(length), div)
+        mag = mult * exact_div(factorial(length), div)
         return Term(comp, -mag if negative else mag)
 
     return map(term, compositions(n, len(rows)))
@@ -248,11 +251,6 @@ def phi_count_stream(k: int, n_max: int) -> Iterator[int]:
             yield exact_div(phi(poly), scale)
 
     return counts()
-
-
-def phi_count_range(k: int, n_max: int) -> list[int]:
-    """[a_k(0), ..., a_k(n_max)] by the phi route, in one pass of its steps."""
-    return list(phi_count_stream(k, n_max))
 
 
 def upper_bound(k: int, n: int) -> int:

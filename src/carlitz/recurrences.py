@@ -7,10 +7,16 @@ and, for single values and streamed ranges, in window-bounded memory:
 * k = 2: three-term recurrence p_{n+1} = (2n+1) p_n + p_{n-1};
 * k = 3: coupled system over p_n (ordered words on 1^3..n^3) and q_n
   (ordered words on 0^2,1^3..n^3);
-* k = 3: the standalone four-term recurrence, a differential check;
+* k = 3: the standalone four-term recurrence, a differential check, in
+  integer form only (the paper's 1/n coefficients cleared by 2n);
 * k = 4: coupled system over p_n (1^4..n^4), q_n (0^3,1^4..n^4) and
   r_n (0^2,1^4..n^4), advanced in the order r, q, p dictated by the
   index dependencies.
+
+The k = 2, 3, 4 engines are read through state(k, n) and states(k, n_max)
+(every count of a state) and prime(k, n) and prime_stream(k, n_max) (p
+alone); the four-term engine through a3_prime_fourterm(n) and
+a3_prime_fourterm_range(n_max).
 
 Every division the recurrences promise to be exact (by 2, 3 and 2n) is
 checked; a remainder raises InexactDivisionError, because it would mean
@@ -23,11 +29,10 @@ combinations may dip below zero, emitted counts never legally can).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
-from .exact import InexactDivisionError, exact_div
+from .exact import exact_div
 from .words import MultiplicityVector, count_ordered_carlitz
 
 
@@ -139,51 +144,36 @@ def _fourterm_step(n: int, p_back2: int, p_back1: int, p: int) -> int:
     return exact_div(num, 2 * n)
 
 
-def _fourterm_step_rational(n: int, p_back2: int, p_back1: int, p: int) -> int:
-    lam = Fraction(9 * n**2 + 9 * n + 8, 2) + Fraction(2, n)
-    mu = (6 * n + 3) - Fraction(4, n)
-    nu = -2 - Fraction(2, n)
-    value = lam * p + mu * p_back1 + nu * p_back2
-    if value.denominator != 1:
-        raise InexactDivisionError(
-            f"four-term step at n={n} produced non-integer {value}"
-        )
-    return value.numerator
-
-
-def _iter_fourterm(rational: bool) -> Iterator[tuple[int]]:
-    step = _fourterm_step_rational if rational else _fourterm_step
+def _iter_fourterm() -> Iterator[tuple[int]]:
     window = [1, 0, 1]
     for n, v in enumerate(window):
         yield (_count(v, "a'_3 (four-term)", n),)
     n = 2
     while True:
-        window.append(step(n, *window[-3:]))
+        window.append(_fourterm_step(n, *window[-3:]))
         del window[0]
         n += 1
         yield (_count(window[-1], "a'_3 (four-term)", n),)
 
 
-def _fourterm(rational: bool) -> Iterator[tuple[int]]:
-    return _checked(f"four-term {rational=}", 3, _iter_fourterm(rational))
+def _fourterm() -> Iterator[tuple[int]]:
+    return _checked("four-term", 3, _iter_fourterm())
 
 
-def a3_prime_fourterm(n: int, rational: bool = False) -> int:
+def a3_prime_fourterm(n: int) -> int:
     """a'_3(n) by the standalone four-term recurrence.
 
-    The step coefficients have 1/n poles, so stepping starts at n = 2
-    from the initial values p_0 = 1, p_1 = 0, p_2 = 1 (applicability of
-    the step at n = 1 is untested and not relied on).  By default the
-    integer form cleared of denominators (multiplied through by 2n) is
-    used; rational=True evaluates the original fractional coefficients
-    instead, as an independent second implementation.
+    The paper's step coefficients have 1/n poles, so stepping starts at
+    n = 2 from the initial values p_0 = 1, p_1 = 0, p_2 = 1 (applicability
+    of the step at n = 1 is untested and not relied on), in the integer
+    form cleared of denominators (multiplied through by 2n).
     """
-    return _nth(_fourterm(rational), n)[0]
+    return _nth(_fourterm(), n)[0]
 
 
-def a3_prime_fourterm_range(n_max: int, rational: bool = False) -> list[int]:
+def a3_prime_fourterm_range(n_max: int) -> list[int]:
     """[a'_3(0), ..., a'_3(n_max)] by the four-term recurrence."""
-    return [c[0] for c in _upto(_fourterm(rational), n_max)]
+    return [c[0] for c in _upto(_fourterm(), n_max)]
 
 
 # Seam for fault-injection tests: one k=4 step, advancing r and q to
@@ -253,8 +243,3 @@ def prime_stream(k: int, n_max: int) -> Iterator[int]:
     so only the engine's window of recent states is held.  A bad k or
     n_max raises here, before the first value."""
     return (c[0] for c in _upto(_engine(k), n_max))
-
-
-def prime_range(k: int, n_max: int) -> list[int]:
-    """[a'_k(0), ..., a'_k(n_max)] for k = 2, 3, 4, in one pass of that engine."""
-    return list(prime_stream(k, n_max))

@@ -29,7 +29,7 @@ from carlitz.formulas import (
     a3_inclusion_exclusion,
     a4_inclusion_exclusion,
     phi_count,
-    phi_count_range,
+    phi_count_stream,
 )
 from carlitz.recurrences import a3_prime_fourterm_range, prime, states
 from carlitz.words import (
@@ -41,6 +41,7 @@ from carlitz.words import (
     is_carlitz,
     is_ordered,
 )
+from test_recurrences import fourterm_fraction_reference
 
 DATA = Path(__file__).parent / "data"
 
@@ -205,12 +206,13 @@ def test_criterion_5_divisibility_and_fault_injection(capsys, monkeypatch):
         check_sum_terms()
 
         # Checked divisions by 2, 3 and 2n inside the recurrences, and
-        # the rational four-term variant's integrality check.
+        # the paper's fractional four-term coefficients, every step
+        # integral, against the integer engine.
         states(3, 300)
-        assert a3_prime_fourterm_range(120, rational=True) == a3_prime_fourterm_range(120)
+        assert fourterm_fraction_reference(120) == a3_prime_fourterm_range(120)
         states(4, 100)
         # phi-route integrality over the verified range.
-        phi_count_range(4, 60)
+        list(phi_count_stream(4, 60))
 
         # Fault injection: a flipped coefficient in any engine must trip
         # the loud failure path, never return a rounded value.
@@ -269,7 +271,7 @@ def test_criterion_5_divisibility_and_fault_injection(capsys, monkeypatch):
             return base
 
         monkeypatch.setattr(formulas, "phi_base", bad_base)
-        for route in (lambda: phi_count((4, 4)), lambda: phi_count_range(4, 2)):
+        for route in (lambda: phi_count((4, 4)), lambda: list(phi_count_stream(4, 2))):
             try:
                 route()
                 raise AssertionError("corrupted phi base went unnoticed")

@@ -216,7 +216,8 @@ def run_capped(*args):
     # The inclusion-exclusion range tabulates up to the last index at once.
     (("oeis-check", "BFILE", "--k", 2, "--method", "incl-excl"),
      f"out of memory: incl-excl for k=2 up to n={10**12}\n"),
-    # The first term, s = n, already needs 2**n as its divisor.
+    # The first term, s = n, runs out filling the factorial cache on its
+    # way to n! for its multinomial.
     (("count", "--k", 2, "--n", 10**12, "--trace"),
      f"out of memory: incl-excl for k=2 up to n={10**12}\n"),
 ], ids=["table-incl-excl", "count-phi", "oeis-check", "count-trace"])
@@ -502,7 +503,7 @@ class TestTable:
     @pytest.mark.parametrize("n_max", [0, 1, 12])
     @pytest.mark.parametrize("ordered", [False, True])
     def test_streamed_bytes_match_whole_table_formatting(self, runner, n_max, ordered):
-        values = (recurrences.prime_range(3, n_max) if ordered
+        values = (list(recurrences.prime_stream(3, n_max)) if ordered
                   else formulas.inclusion_exclusion_range(3, n_max))
         flag = ["--ordered"] if ordered else []
 

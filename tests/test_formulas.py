@@ -15,7 +15,7 @@ from carlitz.formulas import (
     a4_inclusion_exclusion,
     phi_base,
     phi_count,
-    phi_count_range,
+    phi_count_stream,
     upper_bound,
 )
 from carlitz.words import (
@@ -122,7 +122,7 @@ def test_range_matches_point_sums(k, n_max):
 
 @pytest.mark.parametrize("k,n_max", [(2, 150), (3, 80), (4, 40)])
 def test_range_matches_phi(k, n_max):
-    assert formulas.inclusion_exclusion_range(k, n_max) == phi_count_range(k, n_max)
+    assert formulas.inclusion_exclusion_range(k, n_max) == list(phi_count_stream(k, n_max))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -158,7 +158,7 @@ def test_phi_route_reproduces_each_k():
         assert phi_count((3,) * n) == a3_inclusion_exclusion(n)
         assert phi_count((4,) * n) == a4_inclusion_exclusion(n)
     for k, row in ((1, A1_ROW), (2, A2_ROW), (3, A3_ROW), (4, A4_ROW)):
-        assert phi_count_range(k, len(row) - 1) == row
+        assert list(phi_count_stream(k, len(row) - 1)) == row
 
 
 def test_a4_phi_matches_sum():
@@ -167,10 +167,10 @@ def test_a4_phi_matches_sum():
 
 
 def test_a4_phi_range_is_incremental_and_consistent():
-    values = phi_count_range(4, 12)
+    values = list(phi_count_stream(4, 12))
     assert values == [phi_count((4,) * n) for n in range(13)]
     with pytest.raises(ValueError):
-        phi_count_range(4, -1)
+        phi_count_stream(4, -1)
 
 
 def test_a4_phi_rejects_corrupted_base(monkeypatch):
@@ -188,7 +188,7 @@ def test_a4_phi_rejects_corrupted_base(monkeypatch):
     with pytest.raises(InexactDivisionError):
         phi_count((4,))
     with pytest.raises(InexactDivisionError):
-        phi_count_range(4, 3)
+        list(phi_count_stream(4, 3))
 
 
 @st.composite

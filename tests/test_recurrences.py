@@ -2,6 +2,7 @@
 identities, heterogeneous oracle agreement, and fault injection on the
 checked divisions."""
 
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -19,7 +20,7 @@ from carlitz.recurrences import (
     a3_prime_fourterm,
     a3_prime_fourterm_range,
     prime,
-    prime_range,
+    prime_stream,
     state,
     states,
 )
@@ -29,11 +30,27 @@ A2_PRIME_ROW = [1, 0, 1, 5, 36, 329, 3655]
 A3_PRIME_ROW = [1, 0, 1, 29, 1721, 163386, 22831355]
 
 
+def fourterm_fraction_reference(n_max):
+    """[a'_3(0), ..., a'_3(n_max)] stepped with the paper's fractional
+    four-term coefficients p_{n+1} = lam p_n + mu p_{n-1} + nu p_{n-2},
+    independently of the library's cleared integer form; every step must
+    land on an integer."""
+    p = [1, 0, 1]
+    for n in range(2, n_max):
+        lam = Fraction(9 * n**2 + 9 * n + 8, 2) + Fraction(2, n)
+        mu = (6 * n + 3) - Fraction(4, n)
+        nu = -2 - Fraction(2, n)
+        value = lam * p[n] + mu * p[n - 1] + nu * p[n - 2]
+        assert value.denominator == 1, f"four-term step at n={n} gave {value}"
+        p.append(value.numerator)
+    return p[: n_max + 1]
+
+
 def test_a2_prime_values():
     assert prime(2, 2) == 1
     assert prime(2, 3) == 5
     assert prime(2, 6) == 3655
-    assert prime_range(2, 6) == A2_PRIME_ROW
+    assert list(prime_stream(2, 6)) == A2_PRIME_ROW
 
 
 def test_a3_coupled_values():
@@ -54,7 +71,8 @@ def test_a3_fourterm_values():
 
 
 def test_a3_fourterm_rational_form_agrees():
-    assert a3_prime_fourterm_range(40, rational=True) == a3_prime_fourterm_range(40)
+    assert fourterm_fraction_reference(6) == A3_PRIME_ROW
+    assert fourterm_fraction_reference(40) == a3_prime_fourterm_range(40)
 
 
 def test_a3_fourterm_agrees_with_coupled():
@@ -88,7 +106,7 @@ def test_rejects_negative_index():
 
 
 def test_recurrences_match_inclusion_exclusion():
-    for n, p in enumerate(prime_range(2, 60)):
+    for n, p in enumerate(prime_stream(2, 60)):
         assert factorial(n) * p == a2_inclusion_exclusion(n)
     for s in states(3, 30):
         assert factorial(s.n) * s.p == a3_inclusion_exclusion(s.n)
@@ -134,7 +152,7 @@ def test_every_state_matches_oracle_at_large_n():
 def test_large_single_value_runs_iteratively():
     # Far beyond any recursion limit; also windowed, so this is cheap.
     value = prime(2, 3000)
-    assert value == prime_range(2, 3000)[-1]
+    assert value == list(prime_stream(2, 3000))[-1]
     assert value > 0
 
 
@@ -255,27 +273,12 @@ def test_every_engine_catches_exactly_dividing_wrong_step(
         call()
 
 
-def test_fourterm_forms_are_oracle_checked_apart(monkeypatch):
-    # The integer form passing its oracle check must not excuse the
-    # rational form: a wrong rational p_3 (30, not 29) that is exact and
-    # nonnegative is caught only by that form's own comparison.
-    monkeypatch.setattr(recurrences, "_oracle_checked", set())
-    a3_prime_fourterm_range(5)
-    real = recurrences._fourterm_step_rational
-    monkeypatch.setattr(recurrences, "_fourterm_step_rational",
-                        lambda n, *window: 30 if n == 2 else real(n, *window))
-    with pytest.raises(SelfCheckError):
-        a3_prime_fourterm_range(5, rational=True)
-
-
 @pytest.mark.parametrize(
     "entry_points, width",
-    [([partial(f, k) for f in (state, states, prime, prime_range)], k - 1)
+    [([partial(f, k) for f in (state, states, prime, prime_stream)], k - 1)
      for k in (2, 3, 4)]
-    + [([partial(f, rational=rational)
-         for f in (a3_prime_fourterm, a3_prime_fourterm_range)], 1)
-       for rational in (False, True)],
-    ids=["k2", "k3-coupled", "k4-coupled", "k3-fourterm", "k3-fourterm-rational"],
+    + [([a3_prime_fourterm, a3_prime_fourterm_range], 1)],
+    ids=["k2", "k3-coupled", "k4-coupled", "k3-fourterm"],
 )
 def test_oracle_runs_once_per_engine(monkeypatch, entry_points, width):
     # Every entry point of one engine shares its single oracle comparison
