@@ -14,14 +14,16 @@ and `oeis-check` compares each b-file entry as the values pass it, so
 their memory is one engine window plus the b-file.  Exit codes: 0
 success, 1 verification or b-file mismatch, 2 usage or format error, 3
 refusal of an oversized brute-force request or a route that ran out of
-memory (one stderr line, no traceback).  A refusal, usage or format
-error, or a route that fails before its first value leaves stdout empty;
-a table or a --trace that runs out of memory later keeps the lines
-already written.
+memory (one stderr line, no traceback), 130 interrupted by Ctrl-C (one
+stderr line), 141 stdout closed by its reader (nothing more written, as
+when piped into `head`).  A refusal, usage or format error, or a route
+that fails before its first value leaves stdout empty; a table or a
+--trace that runs out of memory later keeps the lines already written.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from contextlib import contextmanager
 from itertools import islice
@@ -110,13 +112,9 @@ def resolve(k: int, ordered: bool, method: str) -> Route:
     return route
 
 
-def _orient(value: int, n: int, native_ordered: bool, ordered: bool) -> int:
-    """Convert a count between orientations: a_k(n) = n! * a'_k(n)."""
-    if native_ordered == ordered:
-        return value
-    if ordered:
-        return exact_div(value, factorial(n))
-    return factorial(n) * value
+def _orient(value: int, n_factorial: int, ordered: bool) -> int:
+    """Convert a count of the other orientation to this one: a_k(n) = n! * a'_k(n)."""
+    return exact_div(value, n_factorial) if ordered else n_factorial * value
 
 
 def _refuse_oversized(route: Route, k: int, n: int, limit: int) -> None:
@@ -153,11 +151,32 @@ def _stream(route: Route, k: int, n_max: int, ordered: bool) -> Iterator[int]:
             raw = route.range(k, n_max)
         else:
             raw = (route.point(k, n) for n in range(n_max + 1))
+        if route.ordered == ordered:
+            yield from raw
+            return
+        n_factorial = 1  # a running n!, so no table of every m! is kept
         for n, v in enumerate(raw):
-            yield _orient(v, n, route.ordered, ordered)
+            n_factorial *= n or 1
+            yield _orient(v, n_factorial, ordered)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, with a documented exit for an interrupt and for
+    a reader that closes stdout, in place of click's exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except KeyboardInterrupt:
+            click.echo("interrupted", err=True)
+            sys.exit(130)
+        except BrokenPipeError:
+            # Point stdout at devnull so the flush at exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(141)
+
+
+@click.group(cls=_Main)
 def main():
     """Count Carlitz words (no two adjacent symbols equal) over k copies
     each of n symbols, by brute force, inclusion-exclusion, factorial
@@ -181,7 +200,9 @@ def count(k: int, n: int, ordered: bool, method: str, trace: bool, limit: int):
         route = resolve(k, ordered, method)
         _refuse_oversized(route, k, n, limit)
         with _exit_3_on_memory_error(route, k, n):
-            value = _orient(route.point(k, n), n, route.ordered, ordered)
+            value = route.point(k, n)
+            if route.ordered != ordered:
+                value = _orient(value, factorial(n), ordered)
         click.echo(str(value))
         return
     if method not in ("auto", "incl-excl"):

@@ -1,8 +1,9 @@
 """P-recursive evaluation of ordered Carlitz counts a'_k(n) for k = 2, 3, 4.
 
-Four engines, all iterative with a sliding window of recent states so
-n in the tens of thousands runs without touching any recursion limit
-and, for single values and streamed ranges, in window-bounded memory:
+Four engines, each one step function in the table _ENGINES, all run by
+one iterative stepping loop over a sliding window of recent states, so n
+in the tens of thousands runs without touching any recursion limit and,
+for single values and streamed ranges, in window-bounded memory:
 
 * k = 2: three-term recurrence p_{n+1} = (2n+1) p_n + p_{n-1};
 * k = 3: coupled system over p_n (ordered words on 1^3..n^3) and q_n
@@ -22,14 +23,14 @@ Every division the recurrences promise to be exact (by 2, 3 and 2n) is
 checked; a remainder raises InexactDivisionError, because it would mean
 a recurrence coefficient is wrong.  The first time an engine runs in a
 process, every count in its states 0..3 is compared with the word oracle,
-which catches a wrong step that still divides exactly.  Every engine also
-asserts that the counts it emits are nonnegative (intermediate
+which catches a wrong step that still divides exactly.  The stepping
+loop also asserts that every count it emits is nonnegative (intermediate
 combinations may dip below zero, emitted counts never legally can).
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import Iterator, NamedTuple
 
 from .exact import exact_div
@@ -52,14 +53,6 @@ class State(NamedTuple):
     p: int
     q: int | None = None
     r: int | None = None
-
-
-def _count(value: int, label: str, n: int) -> int:
-    # Emitted counts must be nonnegative; a negative one means a
-    # recurrence coefficient is wrong even though every division landed.
-    if value < 0:
-        raise SelfCheckError(f"{label} at n={n} is negative: {value}")
-    return value
 
 
 _oracle_checked: set[str] = set()  # engines that matched the oracle so far
@@ -101,87 +94,43 @@ def _upto(counts: Iterator[tuple], n_max: int) -> Iterator[tuple]:
     return islice(counts, n_max + 1)
 
 
-def _iter_a2_prime() -> Iterator[tuple[int]]:
-    p_prev, p = 1, 0
-    yield (_count(p_prev, "a'_2", 0),)
-    yield (_count(p, "a'_2", 1),)
-    n = 1
-    while True:
-        p_prev, p = p, (2 * n + 1) * p + p_prev
-        n += 1
-        yield (_count(p, "a'_2", n),)
+# The step functions are the seams for fault-injection tests.  Each takes
+# (n, *window at n) and returns (the counts it emits, the window at n + 1):
+# the scalar recurrences emit the p_{n+1} they compute, the coupled systems
+# the counts at n, since q_n (and r_n) come out of step n.  Every division
+# in a step is exact whenever the coefficients are the true ones.
 
 
-# Seam for fault-injection tests: one k=3 step, advancing q to index n
-# and p to index n+1 from (p_{n-1}, p_n, q_{n-1}).  The division by 2 is
-# exact whenever the coefficients are the true ones.
-def _coupled3_step(n: int, p_prev: int, p: int, q_prev: int) -> tuple[int, int]:
+def _a2_step(n: int, p_prev: int, p: int) -> tuple[tuple, tuple]:
+    p_next = (2 * n + 1) * p + p_prev
+    return (p_next,), (p, p_next)
+
+
+# Advances q to index n and p to index n+1 from (p_{n-1}, p_n, q_{n-1}).
+def _coupled3_step(n: int, p_prev: int, p: int, q_prev: int) -> tuple[tuple, tuple]:
     q = (3 * n + 2) * p + 2 * q_prev
     p_next = exact_div((3 * n + 3) * q - 2 * (3 * n + 1) * p + 2 * p_prev, 2)
-    return q, p_next
+    return (p, q), (p, p_next, q)
 
 
-def _iter_coupled3() -> Iterator[tuple[int, int]]:
-    yield 1, 0
-    p_prev, p, q_prev = 1, 0, 0
-    n = 1
-    while True:
-        q, p_next = _coupled3_step(n, p_prev, p, q_prev)
-        yield _count(p, "a'_3", n), _count(q, "q (0^2,1^3..n^3)", n)
-        p_prev, p, q_prev = p, p_next, q
-        n += 1
-
-
-# Seam for fault-injection tests: one four-term step, returning p_{n+1}
-# from (p_{n-2}, p_{n-1}, p_n).  Valid for n >= 2; the cleared form
-# divides by 2n, exactly when the coefficients are the true ones.
-def _fourterm_step(n: int, p_back2: int, p_back1: int, p: int) -> int:
+# Computes p_{n+1} from (p_{n-2}, p_{n-1}, p_n).  Valid for n >= 2; the
+# cleared form divides by 2n.
+def _fourterm_step(n: int, p_back2: int, p_back1: int, p: int) -> tuple[tuple, tuple]:
     num = (
         (9 * n**3 + 9 * n**2 + 8 * n + 4) * p
         + (12 * n**2 + 6 * n - 8) * p_back1
         - (4 * n + 4) * p_back2
     )
-    return exact_div(num, 2 * n)
+    p_next = exact_div(num, 2 * n)
+    return (p_next,), (p_back1, p, p_next)
 
 
-def _iter_fourterm() -> Iterator[tuple[int]]:
-    window = [1, 0, 1]
-    for n, v in enumerate(window):
-        yield (_count(v, "a'_3 (four-term)", n),)
-    n = 2
-    while True:
-        window.append(_fourterm_step(n, *window[-3:]))
-        del window[0]
-        n += 1
-        yield (_count(window[-1], "a'_3 (four-term)", n),)
-
-
-def _fourterm() -> Iterator[tuple[int]]:
-    return _checked("four-term", 3, _iter_fourterm())
-
-
-def a3_prime_fourterm(n: int) -> int:
-    """a'_3(n) by the standalone four-term recurrence.
-
-    The paper's step coefficients have 1/n poles, so stepping starts at
-    n = 2 from the initial values p_0 = 1, p_1 = 0, p_2 = 1 (applicability
-    of the step at n = 1 is untested and not relied on), in the integer
-    form cleared of denominators (multiplied through by 2n).
-    """
-    return _nth(_fourterm(), n)[0]
-
-
-def a3_prime_fourterm_range(n_max: int) -> list[int]:
-    """[a'_3(0), ..., a'_3(n_max)] by the four-term recurrence."""
-    return [c[0] for c in _upto(_fourterm(), n_max)]
-
-
-# Seam for fault-injection tests: one k=4 step, advancing r and q to
-# index n and p to index n+1.  Update order r -> q -> p is forced by the
-# dependencies: r_n needs q_{n-1}, q_n needs r_n, p_{n+1} needs q_n.
+# Advances r and q to index n and p to index n+1.  Update order r -> q -> p
+# is forced by the dependencies: r_n needs q_{n-1}, q_n needs r_n, p_{n+1}
+# needs q_n.
 def _coupled4_step(
     n: int, p_prev: int, p: int, q_prev: int, r_prev: int
-) -> tuple[int, int, int]:
+) -> tuple[tuple, tuple]:
     r = (4 * n + 3) * p + 3 * q_prev
     q = exact_div((4 * n + 6) * r + 6 * r_prev - (16 * n + 6) * p, 2)
     p_next = exact_div(
@@ -189,38 +138,50 @@ def _coupled4_step(
         + 3 * (10 * q_prev - r + 4 * r_prev + (6 * n + 7) * p + p_prev),
         3,
     )
-    return r, q, p_next
+    return (p, q, r), (p, p_next, q, r)
 
 
-def _iter_coupled4() -> Iterator[tuple[int, int, int]]:
-    yield 1, 0, 0
-    p_prev, p, q_prev, r_prev = 1, 0, 0, 0
-    n = 1
-    while True:
-        r, q, p_next = _coupled4_step(n, p_prev, p, q_prev, r_prev)
-        yield (
-            _count(p, "a'_4", n),
-            _count(q, "q (0^3,1^4..n^4)", n),
-            _count(r, "r (0^2,1^4..n^4)", n),
-        )
-        p_prev, p, q_prev, r_prev = p, p_next, q, r
-        n += 1
-
-
-# Oracle-check name and counts stream per k.  Each lambda looks its
-# _iter_* up when called, so replacing one on this module changes what runs.
+#: One row per engine: oracle-check name, k, the counts emitted before the
+#: first step, the first n stepped, the window at that n, and the step's name.
+#: The four-term step has 1/n poles, so it starts at n = 2 from p_0 = 1,
+#: p_1 = 0, p_2 = 1 (its applicability at n = 1 is untested and not relied on).
 _ENGINES = {
-    2: ("a'_2", lambda: _iter_a2_prime()),
-    3: ("k=3 coupled", lambda: _iter_coupled3()),
-    4: ("k=4 coupled", lambda: _iter_coupled4()),
+    2: ("a'_2", 2, [(1,), (0,)], 1, (1, 0), "_a2_step"),
+    3: ("k=3 coupled", 3, [(1, 0)], 1, (1, 0, 0), "_coupled3_step"),
+    4: ("k=4 coupled", 4, [(1, 0, 0)], 1, (1, 0, 0, 0), "_coupled4_step"),
+    "four-term": ("four-term", 3, [(1,), (0,), (1,)], 2, (1, 0, 1), "_fourterm_step"),
 }
 
 
-def _engine(k: int) -> Iterator[tuple]:
-    if k not in _ENGINES:
-        raise ValueError(f"recurrence supports k=2,3,4 only, not k={k}")
-    name, counts = _ENGINES[k]
-    return _checked(name, k, counts())
+def _engine(key: int | str) -> Iterator[tuple]:
+    """The oracle-checked counts of the _ENGINES row under key, stepped as
+    they are taken.  The step is looked up on this module here, so
+    replacing one changes what runs."""
+    if key not in _ENGINES:
+        raise ValueError(f"recurrence supports k=2,3,4 only, not k={key}")
+    name, k, head, first, window, step_name = _ENGINES[key]
+    step = globals()[step_name]
+
+    def stepped(window: tuple) -> Iterator[tuple]:
+        for n in count(first):
+            counts, window = step(n, *window)
+            for c in counts:
+                if c < 0:
+                    raise SelfCheckError(f"{name} step at n={n} emitted a negative count: {counts}")
+            yield counts
+
+    return _checked(name, k, chain(head, stepped(window)))
+
+
+def a3_prime_fourterm(n: int) -> int:
+    """a'_3(n) by the standalone four-term recurrence, in the integer form
+    cleared of denominators (multiplied through by 2n)."""
+    return _nth(_engine("four-term"), n)[0]
+
+
+def a3_prime_fourterm_range(n_max: int) -> list[int]:
+    """[a'_3(0), ..., a'_3(n_max)] by the four-term recurrence."""
+    return [c[0] for c in _upto(_engine("four-term"), n_max)]
 
 
 def state(k: int, n: int) -> State:

@@ -218,7 +218,8 @@ def test_criterion_5_divisibility_and_fault_injection(capsys, monkeypatch):
         # the loud failure path, never return a rounded value.
         def broken3(n, p_prev, p, q_prev):
             q = (3 * n + 2) * p + 2 * q_prev
-            return q, exact_div((3 * n + 2) * q - 2 * (3 * n + 1) * p + 2 * p_prev, 2)
+            p_next = exact_div((3 * n + 2) * q - 2 * (3 * n + 1) * p + 2 * p_prev, 2)
+            return (p, q), (p, p_next, q)
 
         monkeypatch.setattr(recurrences, "_coupled3_step", broken3)
         try:
@@ -234,7 +235,8 @@ def test_criterion_5_divisibility_and_fault_injection(capsys, monkeypatch):
                 + (12 * n**2 + 6 * n - 8) * p_back1
                 - (4 * n + 4) * p_back2
             )
-            return exact_div(num, 2 * n)
+            p_next = exact_div(num, 2 * n)
+            return (p_next,), (p_back1, p, p_next)
 
         monkeypatch.setattr(recurrences, "_fourterm_step", broken4term)
         try:
@@ -252,7 +254,7 @@ def test_criterion_5_divisibility_and_fault_injection(capsys, monkeypatch):
                 + 3 * (10 * q_prev - r + 4 * r_prev + (6 * n + 7) * p + p_prev),
                 3,
             )
-            return r, q, p_next
+            return (p, q, r), (p, p_next, q, r)
 
         monkeypatch.setattr(recurrences, "_coupled4_step", broken4)
         monkeypatch.setattr(recurrences, "_oracle_checked", {"k=4 coupled"})

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carlitz
-from carlitz import formulas, recurrences, words
+from carlitz import exact, formulas, recurrences, words
 from carlitz.cli import METHODS, ROUTES, main, resolve
 
 DATA = Path(__file__).parent / "data"
@@ -201,10 +202,13 @@ main(sys.argv[1:])
 """
 
 
+#: The environment of a child CLI: it imports the carlitz under test.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(carlitz.__file__).parents[1]))
+
+
 def run_capped(*args):
-    env = dict(os.environ, PYTHONPATH=str(Path(carlitz.__file__).parents[1]))
     return subprocess.run([sys.executable, "-c", CAPPED_CHILD, *map(str, args)],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=60)
 
 
 @pytest.mark.parametrize("args,stderr", [
@@ -226,6 +230,35 @@ def test_out_of_memory_exits_3(tmp_path, args, stderr):
     bfile.write_text(f"0 1\n{10**12} 5\n", encoding="utf-8")
     r = run_capped(*(bfile if a == "BFILE" else a for a in args))
     assert (r.returncode, r.stdout, r.stderr) == (3, "", stderr)
+
+
+def spawn(*args):
+    return subprocess.Popen([sys.executable, "-c", "from carlitz.cli import main; main()", *map(str, args)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
+
+
+def test_closed_stdout_exits_141_silently():
+    # As in `carlitz table --k 2 --n-max 3000 | head -n 1`: the reader
+    # leaves after one row, long before the table is written.
+    with spawn("table", "--k", 2, "--n-max", 3000) as proc:
+        try:
+            assert proc.stdout.readline() == "   0  1\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == ""
+        finally:
+            proc.kill()
+
+
+def test_interrupt_exits_130_with_one_line():
+    with spawn("table", "--k", 2, "--n-max", 100000) as proc:
+        try:
+            assert proc.stdout.readline() == "     0  1\n"
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=60)
+            assert (proc.returncode, stderr) == (130, "interrupted\n")
+        finally:
+            proc.kill()
 
 
 def test_oeis_check_streams_in_bounded_memory(runner, tmp_path):
@@ -491,6 +524,16 @@ class TestTable:
     def test_brute_refusal_exits_3(self, runner):
         assert run(runner, "table", "--k", 5, "--n-max", 5,
                    "--method", "brute").exit_code == 3
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_unordered_stream_keeps_no_factorial_table(self, runner, monkeypatch, k):
+        # The ordered engine's values are scaled by a running n!, so the
+        # table holds one engine window, not every m! up to n_max.
+        monkeypatch.setattr(exact, "_fact_cache", [1])
+        r = run(runner, "table", "--k", k, "--n-max", 200)
+        assert r.exit_code == 0
+        assert exact._fact_cache == [1]
+        assert r.output.splitlines()[-1] == f"200  {formulas.inclusion_exclusion_range(k, 200)[-1]}"
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_refusal_prints_nothing_on_stdout(self, runner, fmt):

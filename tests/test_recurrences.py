@@ -156,12 +156,25 @@ def test_large_single_value_runs_iteratively():
     assert value > 0
 
 
+def test_a2_rejects_flipped_coefficient(monkeypatch):
+    # The three-term step has no division of its own; written over 2 as
+    # p_{n+1} = ((4n+2) p_n + 2 p_{n-1}) / 2, (4n+2) -> (4n+3) makes the
+    # halving inexact, and the stepping loop must let that error through.
+    def broken(n, p_prev, p):
+        p_next = exact_div((4 * n + 3) * p + 2 * p_prev, 2)
+        return (p_next,), (p, p_next)
+
+    monkeypatch.setattr(recurrences, "_a2_step", broken)
+    with pytest.raises(InexactDivisionError):
+        prime(2, 10)
+
+
 def test_coupled3_rejects_flipped_coefficient(monkeypatch):
     # (3n+3) -> (3n+2) in the p-update makes the halving inexact.
     def broken(n, p_prev, p, q_prev):
         q = (3 * n + 2) * p + 2 * q_prev
         p_next = exact_div((3 * n + 2) * q - 2 * (3 * n + 1) * p + 2 * p_prev, 2)
-        return q, p_next
+        return (p, q), (p, p_next, q)
 
     monkeypatch.setattr(recurrences, "_coupled3_step", broken)
     with pytest.raises(InexactDivisionError):
@@ -176,7 +189,8 @@ def test_fourterm_rejects_flipped_coefficient(monkeypatch):
             + (12 * n**2 + 6 * n - 7) * p_back1
             - (4 * n + 4) * p_back2
         )
-        return exact_div(num, 2 * n)
+        p_next = exact_div(num, 2 * n)
+        return (p_next,), (p_back1, p, p_next)
 
     monkeypatch.setattr(recurrences, "_fourterm_step", broken)
     with pytest.raises(InexactDivisionError):
@@ -193,7 +207,7 @@ def test_coupled4_rejects_flipped_coefficient(monkeypatch):
             + 3 * (10 * q_prev - r + 4 * r_prev + (6 * n + 7) * p + p_prev),
             3,
         )
-        return r, q, p_next
+        return (p, q, r), (p, p_next, q, r)
 
     monkeypatch.setattr(recurrences, "_coupled4_step", broken)
     monkeypatch.setattr(recurrences, "_oracle_checked", {"k=4 coupled"})
@@ -201,39 +215,52 @@ def test_coupled4_rejects_flipped_coefficient(monkeypatch):
         state(4, 10)
 
 
+def _wrong_coupled4_step(n, p_prev, p, q_prev, r_prev):
+    r = (4 * n + 2) * p + 3 * q_prev
+    q = exact_div((4 * n + 6) * r + 6 * r_prev - (16 * n + 6) * p, 2)
+    return (p, q, r), (p, p, q, r)
+
+
 def test_self_check_catches_wrong_k4_step(monkeypatch):
     # A plausible-looking wrong step that still divides exactly at the
     # start is caught by the startup comparison with the word oracle.
-    def broken(n, p_prev, p, q_prev, r_prev):
-        r = (4 * n + 2) * p + 3 * q_prev
-        q = exact_div((4 * n + 6) * r + 6 * r_prev - (16 * n + 6) * p, 2)
-        return r, q, p
-
-    monkeypatch.setattr(recurrences, "_coupled4_step", broken)
+    monkeypatch.setattr(recurrences, "_coupled4_step", _wrong_coupled4_step)
     monkeypatch.setattr(recurrences, "_oracle_checked", set())
-    with pytest.raises(SelfCheckError):
+    with pytest.raises(SelfCheckError, match="word oracle"):
         state(4, 5)
 
 
 def test_negative_emitted_count_is_rejected(monkeypatch):
     # A step yielding a negative count must be refused even though every
-    # division succeeded.
-    def broken(n, p_prev, p, q_prev):
-        return (3 * n + 2) * p + 2 * q_prev, -5
+    # division succeeded, before any oracle comparison sees it.
+    negative_steps = [
+        ("_a2_step", lambda n, p_prev, p: ((-5,), (p, -5)), lambda: prime(2, 3)),
+        ("_coupled3_step",
+         lambda n, p_prev, p, q_prev: ((p, (3 * n + 2) * p + 2 * q_prev),
+                                       (p, -5, (3 * n + 2) * p + 2 * q_prev)),
+         lambda: state(3, 3)),
+        ("_fourterm_step", lambda n, p_back2, p_back1, p: ((-5,), (p_back1, p, -5)),
+         lambda: a3_prime_fourterm(3)),
+        ("_coupled4_step",
+         lambda n, p_prev, p, q_prev, r_prev: ((p, q_prev, -5), (p, 1, q_prev, r_prev)),
+         lambda: state(4, 3)),
+    ]
+    for seam, negative, call in negative_steps:
+        with monkeypatch.context() as patch:
+            patch.setattr(recurrences, seam, negative)
+            with pytest.raises(SelfCheckError, match="negative count"):
+                call()
 
-    monkeypatch.setattr(recurrences, "_coupled3_step", broken)
-    with pytest.raises(SelfCheckError):
-        state(3, 3)
 
-
-def _wrong_a2_stream():
-    return iter([(1,), (0,), (1,), (6,)])  # a'_2(3) is 5
+def _wrong_a2_step(n, p_prev, p):
+    p_next = (2 * n + 1) * p + p_prev + p  # a'_2(3) becomes 6, not 5
+    return (p_next,), (p, p_next)
 
 
 def _wrong_coupled3_step(n, p_prev, p, q_prev):
     q = (3 * n + 2) * p + 2 * q_prev + 2 * p
     p_next = exact_div((3 * n + 3) * q - 2 * (3 * n + 1) * p + 2 * p_prev, 2)
-    return q, p_next
+    return (p, q), (p, p_next, q)
 
 
 def _wrong_fourterm_step(n, p_back2, p_back1, p):
@@ -243,19 +270,14 @@ def _wrong_fourterm_step(n, p_back2, p_back1, p):
         - (4 * n + 4) * p_back2
         + 2 * n * p
     )
-    return exact_div(num, 2 * n)
-
-
-def _wrong_coupled4_step(n, p_prev, p, q_prev, r_prev):
-    r = (4 * n + 2) * p + 3 * q_prev
-    q = exact_div((4 * n + 6) * r + 6 * r_prev - (16 * n + 6) * p, 2)
-    return r, q, p
+    p_next = exact_div(num, 2 * n)
+    return (p_next,), (p_back1, p, p_next)
 
 
 @pytest.mark.parametrize(
     "seam, wrong, call",
     [
-        ("_iter_a2_prime", _wrong_a2_stream, lambda: prime(2, 3)),
+        ("_a2_step", _wrong_a2_step, lambda: prime(2, 3)),
         ("_coupled3_step", _wrong_coupled3_step, lambda: state(3, 6)),
         ("_fourterm_step", _wrong_fourterm_step, lambda: a3_prime_fourterm(3)),
         ("_coupled4_step", _wrong_coupled4_step, lambda: state(4, 5)),
@@ -269,7 +291,7 @@ def test_every_engine_catches_exactly_dividing_wrong_step(
     # of states 0..3 with the word oracle can notice it.
     monkeypatch.setattr(recurrences, seam, wrong)
     monkeypatch.setattr(recurrences, "_oracle_checked", set())
-    with pytest.raises(SelfCheckError):
+    with pytest.raises(SelfCheckError, match="word oracle"):
         call()
 
 
