@@ -7,6 +7,12 @@ matching ASCII digits and whitespace only.  Indices must be
 strictly increasing down the file.  Anything else, including blank
 lines, is a format error, because a silently skipped line could hide a
 real mismatch.
+
+Indices are ints.  Values are ints by default, or any exact integer type
+built from a decimal string, such as decimal.Decimal: a caller that
+compares them with Decimals parses them as Decimals, in linear time,
+rather than as ints, whose conversion is quadratic in the digits.  A
+zero value is always that type's plain zero, so "-0" reads as 0.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 _DATA_LINE = re.compile(r"^\s*(-?\d+)\s+(-?\d+)\s*$", re.ASCII)
 
@@ -27,11 +33,12 @@ class BFileFormatError(ValueError):
 @dataclass(frozen=True)
 class BFileEntry:
     index: int
-    value: int
+    value: int  # or the number type the file was parsed with
 
 
-def parse_bfile_lines(lines: Iterable[str]) -> list[BFileEntry]:
-    """Parse b-file lines (without trailing newlines) into entries."""
+def parse_bfile_lines(lines: Iterable[str], number: Callable[[str], int] = int) -> list[BFileEntry]:
+    """Parse b-file lines (without trailing newlines) into entries, each
+    value read by number."""
     entries: list[BFileEntry] = []
     for lineno, line in enumerate(lines, 1):
         if line.startswith("#"):
@@ -39,7 +46,8 @@ def parse_bfile_lines(lines: Iterable[str]) -> list[BFileEntry]:
         m = _DATA_LINE.match(line)
         if m is None:
             raise BFileFormatError(f"line {lineno}: not a b-file data line: {line!r}")
-        index, value = int(m.group(1)), int(m.group(2))
+        # number("-0") may be a negative zero, as Decimal("-0") is.
+        index, value = int(m.group(1)), number(m.group(2)) or number("0")
         if entries and index <= entries[-1].index:
             raise BFileFormatError(
                 f"line {lineno}: index {index} does not increase "
@@ -63,14 +71,15 @@ def _lines(file: BinaryIO) -> Iterator[str]:
         yield from text.removesuffix("\n").removesuffix("\r").split("\r")
 
 
-def read_bfile(path: str | Path) -> list[BFileEntry]:
-    """Read and parse a b-file from disk, one line at a time; bytes that
-    are not UTF-8 are a format error, like any other unreadable line, and
-    the one reported wherever else the file fails."""
+def read_bfile(path: str | Path, number: Callable[[str], int] = int) -> list[BFileEntry]:
+    """Read and parse a b-file from disk, one line at a time, each value
+    read by number; bytes that are not UTF-8 are a format error, like any
+    other unreadable line, and the one reported wherever else the file
+    fails."""
     with open(path, "rb") as file:
         lines = _lines(file)
         try:
-            return parse_bfile_lines(lines)
+            return parse_bfile_lines(lines, number)
         except BFileFormatError:
             for _ in lines:  # a later byte that is not UTF-8 raises instead
                 pass

@@ -11,7 +11,11 @@ Usage:
 All printed values are exact decimal integers, never rounded or
 abbreviated.  `table` writes each row as soon as its value is computed
 and `oeis-check` compares each b-file entry as the values pass it, so
-their memory is one engine window plus the b-file.  Exit codes: 0
+their memory is one engine window plus the b-file.  On the recurrence
+route both compute in decimal.Decimal under exact.EXACT, which traps
+every rounding, so the values stay exact and print and parse in time
+linear in their digits (CPython's int <-> str is quadratic); every other
+route, and `count` and `verify`, compute in int.  Exit codes: 0
 success, 1 verification or b-file mismatch, 2 usage or format error, 3
 refusal of an oversized brute-force request or a route that ran out of
 memory (one stderr line, no traceback), 130 interrupted by Ctrl-C (one
@@ -26,12 +30,11 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import contextmanager
-from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import click
 
-from . import formulas, recurrences, words
+from . import exact, formulas, recurrences, words
 from .bfile import BFileFormatError, read_bfile
 from .exact import exact_div, factorial
 from .words import DEFAULT_SYMBOL_LIMIT, MultiplicityVector
@@ -61,7 +64,8 @@ class Route(NamedTuple):
     ordered: bool  # counts ordered words natively
     sized: bool  # refused past --limit letters
     point: Callable[[int, int], int] | None  # (k, n) -> count
-    range: Callable[[int, int], Iterable[int]] | None = None  # (k, n_max) -> counts for n = 0..n_max
+    range: Callable[..., Iterable[int]] | None = None  # (k, n_max) -> counts for n = 0..n_max
+    decimal: bool = False  # range also takes a unit (default 1) that its counts are multiples of
 
     def serves(self, k: int) -> bool:
         return self.ks is None or k in self.ks
@@ -76,7 +80,7 @@ ROUTES = (
           lambda k, n_max: formulas.inclusion_exclusion_range(k, n_max)),
     Route("recurrence", range(2, 5), True, False,
           lambda k, n: recurrences.prime(k, n),
-          lambda k, n_max: recurrences.prime_stream(k, n_max)),
+          lambda k, n_max, unit=1: recurrences.prime_stream(k, n_max, unit), decimal=True),
     Route("four-term", range(3, 4), True, False, None,
           lambda k, n_max: recurrences.a3_prime_fourterm_range(n_max)),
     Route("phi", range(4, 5), False, False,
@@ -135,29 +139,59 @@ def _exit_3_on_memory_error(route: Route, k: int, n: int) -> Iterator[None]:
         sys.exit(3)
 
 
-def _values(route: Route, k: int, n_max: int, ordered: bool, limit: int) -> Iterator[int]:
-    """Values for n = 0..n_max, each computed as the caller takes it; routes
+# decimal is imported by the two helpers below, not with this module: it
+# adds a few ms to the start of every command.
+def _unit(route: Route):
+    """The 1 that `table` and `oeis-check` compute route's values as
+    multiples of: Decimal(1) for a decimal route, whose values are then
+    exact Decimals (drawn under _exact_decimal()) that print and parse in
+    linear time; 1 for every other route."""
+    if not route.decimal:
+        return 1
+    from decimal import Decimal
+
+    return Decimal(1)
+
+
+@contextmanager
+def _exact_decimal() -> Iterator[None]:
+    """Run the body under decimal.localcontext(exact.EXACT), so any
+    rounding raises; the caller's decimal context comes back afterwards."""
+    from decimal import localcontext
+
+    with localcontext(exact.EXACT):
+        yield
+
+
+def _values(route: Route, k: int, n_max: int, ordered: bool, limit: int,
+            unit=1, wanted: Iterable[int] | None = None) -> Iterator[int]:
+    """Values for n = 0..n_max, or only at the increasing n in wanted,
+    each computed as the caller takes it, as multiples of unit; routes
     with a range callable advance incrementally.  A refusal exits here,
     before any n is computed."""
     _refuse_oversized(route, k, min(n_max, limit // k + 1), limit)
-    return _stream(route, k, n_max, ordered)
+    return _stream(route, k, n_max, ordered, unit, wanted)
 
 
-def _stream(route: Route, k: int, n_max: int, ordered: bool) -> Iterator[int]:
+def _stream(route: Route, k: int, n_max: int, ordered: bool, unit,
+            wanted: Iterable[int] | None) -> Iterator[int]:
     # The guard stays open while the caller draws values, so a MemoryError
     # at any n, not only in setting up the route, exits 3.
     with _exit_3_on_memory_error(route, k, n_max):
-        if route.range is not None:
-            raw = route.range(k, n_max)
-        else:
+        if route.range is None:
             raw = (route.point(k, n) for n in range(n_max + 1))
-        if route.ordered == ordered:
-            yield from raw
-            return
-        n_factorial = 1  # a running n!, so no table of every m! is kept
-        for n, v in enumerate(raw):
-            n_factorial *= n or 1
-            yield _orient(v, n_factorial, ordered)
+        else:
+            raw = route.range(k, n_max, unit) if route.decimal else route.range(k, n_max)
+        scaled = route.ordered != ordered
+        wanted = iter(range(n_max + 1) if wanted is None else wanted)
+        want = next(wanted, None)
+        n_factorial = unit  # a running n!, so no table of every m! is kept
+        for n, value in enumerate(raw):
+            if scaled:
+                n_factorial *= n or 1
+            if n == want:  # only the values wanted change orientation
+                yield _orient(value, n_factorial, ordered) if scaled else value
+                want = next(wanted, None)
 
 
 class _Main(click.Group):
@@ -233,26 +267,28 @@ def count(k: int, n: int, ordered: bool, method: str, trace: bool, limit: int):
 @click.option("--limit", type=click.IntRange(min=0), default=DEFAULT_SYMBOL_LIMIT, show_default=True, help="Refuse brute force beyond this total word length.")
 def table(k: int, n_max: int, ordered: bool, method: str, fmt: str, limit: int):
     """Print values for n = 0..n-max, each row as soon as it is computed."""
-    rows = enumerate(_values(resolve(k, ordered, method), k, n_max, ordered, limit))
-    # What opens the table (the csv header, json's "[") goes out with the
-    # first row, so a route that fails before it leaves stdout empty.
-    if fmt == "csv":
-        head = "n,value\n"
-        for n, v in rows:
-            click.echo(f"{head}{n},{v}")
-            head = ""
-    elif fmt == "json":
-        # The bytes of json.dumps(payload, indent=2) for payload
-        # [{"n": n, "value": str(v)}, ...]: decimal strings need no escapes.
-        head = "[\n"
-        for n, v in rows:
-            click.echo(f'{head}  {{\n    "n": {n},\n    "value": "{v}"\n  }}', nl=False)
-            head = ",\n"
-        click.echo("\n]")
-    else:
-        width = len(str(n_max))
-        for n, v in rows:
-            click.echo(f"{n:>{width}}  {v}")
+    route = resolve(k, ordered, method)
+    with _exact_decimal():
+        rows = enumerate(_values(route, k, n_max, ordered, limit, _unit(route)))
+        # What opens the table (the csv header, json's "[") goes out with the
+        # first row, so a route that fails before it leaves stdout empty.
+        if fmt == "csv":
+            head = "n,value\n"
+            for n, v in rows:
+                click.echo(f"{head}{n},{v}")
+                head = ""
+        elif fmt == "json":
+            # The bytes of json.dumps(payload, indent=2) for payload
+            # [{"n": n, "value": str(v)}, ...]: decimal strings need no escapes.
+            head = "[\n"
+            for n, v in rows:
+                click.echo(f'{head}  {{\n    "n": {n},\n    "value": "{v}"\n  }}', nl=False)
+                head = ",\n"
+            click.echo("\n]")
+        else:
+            width = len(str(n_max))
+            for n, v in rows:
+                click.echo(f"{n:>{width}}  {v}")
 
 
 @main.command()
@@ -299,8 +335,9 @@ def oeis_check(file: str, k: int, ordered: bool, offset: int, method: str, limit
     """Compare a local OEIS b-file against computed values, each entry as
     the values pass its n."""
     route = resolve(k, ordered, method)
+    unit = _unit(route)
     try:
-        entries = read_bfile(file)
+        entries = read_bfile(file, type(unit))  # values of the type they are compared with
     except BFileFormatError as exc:
         click.echo(f"malformed b-file: {exc}", err=True)
         sys.exit(2)
@@ -312,25 +349,23 @@ def oeis_check(file: str, k: int, ordered: bool, offset: int, method: str, limit
         index, what = (first, "negative n") if first < offset else (last, f"n past {MAX_N}")
         click.echo(f"index {index} with offset {offset} gives {what}", err=True)
         sys.exit(2)
-    computed = _values(route, k, last - offset, ordered, limit)  # ends at the last entry
-    mismatches, first = 0, None
-    taken = 0  # values drawn from computed so far
-    for entry in entries:
-        n = entry.index - offset
-        value = next(islice(computed, n - taken, None))
-        taken = n + 1
-        if value != entry.value:
-            mismatches += 1
-            first = first or (entry, value)
-    matched = f"{len(entries) - mismatches}/{len(entries)} match"
-    if not mismatches:
-        click.echo(matched)
-        return
-    entry, value = first
-    click.echo(
-        f"{matched}; first mismatch at index {entry.index}: "
-        f"file has {entry.value}, computed {value}"
-    )
+    wanted = (entry.index - offset for entry in entries)
+    with _exact_decimal():
+        computed = _values(route, k, last - offset, ordered, limit, unit, wanted)
+        mismatches, first = 0, None
+        for entry, value in zip(entries, computed):
+            if value != entry.value:
+                mismatches += 1
+                first = first or (entry, value)
+        matched = f"{len(entries) - mismatches}/{len(entries)} match"
+        if not mismatches:
+            click.echo(matched)
+            return
+        entry, value = first
+        click.echo(
+            f"{matched}; first mismatch at index {entry.index}: "
+            f"file has {entry.value}, computed {value}"
+        )
     sys.exit(1)
 
 

@@ -1,18 +1,54 @@
-"""Exact arithmetic building blocks: cached factorials, multinomials,
-weak compositions, and dense integer polynomials with the factorial
-substitution t^m -> m!.
+"""Exact arithmetic building blocks: factorials (cached up to a bound),
+multinomials, weak compositions, and dense integer polynomials with the
+factorial substitution t^m -> m!.
 
 Everything here is mathematically exact.  Integers are Python ints
 (arbitrary precision), polynomials are lists of them, and every
 division that the mathematics promises to be exact is checked: a
 nonzero remainder raises InexactDivisionError instead of silently
 truncating.
+
+The one other number type is decimal.Decimal under the EXACT context,
+which the CLI's `table` and `oeis-check` compute the recurrence route
+in.  Decimal integers print and parse in linear time, where CPython's
+int <-> str conversion is quadratic in the digits.  They stay exact:
+EXACT's precision and exponent range are the largest the decimal module
+allows, and it traps every rounding, so a value that would not fit
+raises instead of being rounded; exact_div takes Decimals too and still
+checks every remainder.
 """
 
 from __future__ import annotations
 
+import math
 import threading
+from itertools import accumulate
+from operator import mul
 from typing import Iterator, Sequence
+
+
+def __getattr__(name: str):
+    """EXACT: integer arithmetic in decimal.Decimal with nothing ever
+    rounded, since any result that would need rounding raises
+    (decimal.Inexact, Rounded, ...).  Enter it with
+    decimal.localcontext(EXACT), which restores the caller's context
+    afterwards.  Add, subtract, multiply and divide by exact_div only:
+    true division (/) at this precision asks for more memory than there
+    is.  Built when first asked for, so that importing this module does
+    not import decimal (a few ms of every command's start-up)."""
+    if name != "EXACT":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import decimal
+
+    global EXACT
+    EXACT = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+               decimal.DivisionByZero, decimal.Overflow],
+    )
+    return EXACT
 
 
 class InexactDivisionError(ArithmeticError):
@@ -25,30 +61,45 @@ class InexactDivisionError(ArithmeticError):
 
 
 def exact_div(a: int, b: int) -> int:
-    """Divide a by b, requiring zero remainder."""
+    """Divide a by b, requiring zero remainder; ints, or Decimal integers
+    under EXACT, whose divmod is exact too."""
     q, r = divmod(a, b)
     if r:
         raise InexactDivisionError(f"{a} is not divisible by {b} (remainder {r})")
     return q
 
 
-# Factorial cache.  Grows monotonically; append-only under a lock, so a
-# concurrent reader either sees a complete entry or misses and takes the
-# lock itself.  Never shrinks.
+# Factorial cache of 0!..m! for m below FACTORIAL_CACHE_SIZE.  Grows
+# monotonically; append-only under a lock, so a concurrent reader either
+# sees a complete entry or misses and takes the lock itself.  Never
+# shrinks.  Bounded, because every m! up to a large n would take about
+# n^2 log2(n) / 2 bits (hundreds of MB at n = 20000).
+FACTORIAL_CACHE_SIZE = 4096
 _fact_cache: list[int] = [1]
 _fact_lock = threading.Lock()
 
 
 def factorial(n: int) -> int:
-    """n! with a shared monotone cache; O(1) after first computation."""
+    """n!: from a shared monotone cache below FACTORIAL_CACHE_SIZE, O(1)
+    after the first computation; past it from math.factorial, uncached."""
     if n < 0:
         raise ValueError(f"factorial of negative {n}")
     if n < len(_fact_cache):
         return _fact_cache[n]
+    if n >= FACTORIAL_CACHE_SIZE:
+        return math.factorial(n)
     with _fact_lock:
         while len(_fact_cache) <= n:
             _fact_cache.append(_fact_cache[-1] * len(_fact_cache))
     return _fact_cache[n]
+
+
+def factorials(n_max: int) -> list[int]:
+    """[0!, 1!, ..., n_max!] by a running product, O(1) each.  The shared
+    cache is not touched, so a large n_max leaves nothing behind."""
+    if n_max < 0:
+        raise ValueError(f"factorial of negative {n_max}")
+    return list(accumulate(range(1, n_max + 1), mul, initial=1))
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:

@@ -24,10 +24,10 @@ away.
 
 from __future__ import annotations
 
-from math import lcm, perm
+from math import lcm, perm, prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .exact import compositions, exact_div, factorial, multinomial, phi, poly_mul
+from .exact import compositions, exact_div, factorial, factorials, multinomial, phi, poly_mul
 
 
 class Term(NamedTuple):
@@ -61,19 +61,22 @@ def terms(k: int, n: int) -> Iterator[Term]:
         raise ValueError(f"n must be nonnegative, got {n}")
     rows = PATTERNS[k]
 
-    def term(comp: tuple[int, ...]) -> Term:
-        # Multinomial first: for a huge n it runs out of memory sooner than
-        # the divisor, which would square its way up to d**n.
-        mult = multinomial(n, comp)
-        length, div, negative = 0, 1, 0
-        for (blocks, d, sign), c in zip(rows, comp):
-            length += blocks * c
-            div *= d**c
-            negative ^= c & 1 if sign < 0 else 0
-        mag = mult * exact_div(factorial(length), div)
-        return Term(comp, -mag if negative else mag)
+    def stream() -> Iterator[Term]:
+        # 0!..(kn)! by one running product as the first term is taken, so
+        # every lookup is O(1) at any n and nothing stays cached; for a
+        # huge n this table runs out of memory before any divisor d**n.
+        fact = factorials(k * n)
+        for comp in compositions(n, len(rows)):
+            mult = exact_div(fact[n], prod(fact[c] for c in comp))
+            length, div, negative = 0, 1, 0
+            for (blocks, d, sign), c in zip(rows, comp):
+                length += blocks * c
+                div *= d**c
+                negative ^= c & 1 if sign < 0 else 0
+            mag = mult * exact_div(fact[length], div)
+            yield Term(comp, -mag if negative else mag)
 
-    return map(term, compositions(n, len(rows)))
+    return stream()
 
 
 def _pattern_sum(k: int, n: int) -> int:
@@ -158,7 +161,7 @@ def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
     if not 1 <= k <= 4:
         raise ValueError(f"incl-excl supports k=1..4 only, not k={k}")
     if k == 1:
-        return [factorial(n) for n in range(n_max + 1)]
+        return factorials(n_max)
     rows = PATTERNS[k]
     outer, tabulated = rows[:-4], rows[-4:]
     scale = lcm(*(div for _, div, _ in tabulated))
@@ -187,7 +190,7 @@ def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
             den *= div
             length += blocks
 
-    h = [factorial(length) for length in range(width * n_max + 1)]
+    h = factorials(width * n_max)
     for T in range(n_max + 1):
         if T:  # h[L] becomes H(T, L), one list pass per block count (none for a leading 1)
             g = h[b0 : b0 + width * (n_max - T) + 1]

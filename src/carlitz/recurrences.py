@@ -19,6 +19,13 @@ The k = 2, 3, 4 engines are read through state(k, n) and states(k, n_max)
 alone); the four-term engine through a3_prime_fourterm(n) and
 a3_prime_fourterm_range(n_max).
 
+The steps are generic in the number type: prime_stream(k, n_max, unit)
+seeds an engine's first counts and window with unit, so Decimal(1) makes
+the same steps emit exact decimal.Decimal counts.  The CLI's `table` and
+`oeis-check` do that under exact.EXACT, which traps every rounding, so
+the values stay exact and print and parse in linear time; everything
+else runs on int.
+
 Every division the recurrences promise to be exact (by 2, 3 and 2n) is
 checked; a remainder raises InexactDivisionError, because it would mean
 a recurrence coefficient is wrong.  The first time an engine runs in a
@@ -153,13 +160,16 @@ _ENGINES = {
 }
 
 
-def _engine(key: int | str) -> Iterator[tuple]:
+def _engine(key: int | str, unit=1) -> Iterator[tuple]:
     """The oracle-checked counts of the _ENGINES row under key, stepped as
-    they are taken.  The step is looked up on this module here, so
-    replacing one changes what runs."""
+    they are taken, in the number type of unit (the head and the initial
+    window are multiplied by it).  The step is looked up on this module
+    here, so replacing one changes what runs."""
     if key not in _ENGINES:
         raise ValueError(f"recurrence supports k=2,3,4 only, not k={key}")
     name, k, head, first, window, step_name = _ENGINES[key]
+    head = [tuple(unit * c for c in counts) for counts in head]
+    window = tuple(unit * c for c in window)
     step = globals()[step_name]
 
     def stepped(window: tuple) -> Iterator[tuple]:
@@ -199,8 +209,9 @@ def prime(k: int, n: int) -> int:
     return _nth(_engine(k), n)[0]
 
 
-def prime_stream(k: int, n_max: int) -> Iterator[int]:
+def prime_stream(k: int, n_max: int, unit=1) -> Iterator[int]:
     """a'_k(0), ..., a'_k(n_max) for k = 2, 3, 4, stepped as they are taken,
     so only the engine's window of recent states is held.  A bad k or
-    n_max raises here, before the first value."""
-    return (c[0] for c in _upto(_engine(k), n_max))
+    n_max raises here, before the first value.  With unit Decimal(1) the
+    values are Decimals; draw them under decimal.localcontext(exact.EXACT)."""
+    return (c[0] for c in _upto(_engine(k, unit), n_max))

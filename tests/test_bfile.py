@@ -1,5 +1,7 @@
 """Tests for the strict b-file reader."""
 
+from decimal import Decimal
+
 import pytest
 
 from carlitz.bfile import BFileEntry, BFileFormatError, parse_bfile_lines, read_bfile
@@ -26,6 +28,21 @@ def test_parses_data_and_comments():
 def test_tabs_and_negative_numbers_parse():
     got = parse_bfile_lines(["-2\t-7", "5\t1"])
     assert got == [BFileEntry(-2, -7), BFileEntry(5, 1)]
+
+
+@pytest.mark.parametrize("number", [int, Decimal])
+def test_values_parse_as_the_given_type(tmp_path, number):
+    # Indices stay int; every zero is the type's plain zero, so it prints
+    # "0" as an int does, never "-0".
+    lines = ["0 -0", "1 007", "2 -00", "3 -12", "4 " + "9" * 4000]
+    got = parse_bfile_lines(lines, number)
+    assert [e.value for e in got] == [0, 7, 0, -12, 10**4000 - 1]
+    assert [type(e.index) for e in got] == [int] * 5
+    assert all(type(e.value) is number for e in got)
+    assert [str(e.value) for e in got[:4]] == ["0", "7", "0", "-12"]
+    path = tmp_path / "b.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert read_bfile(path, number) == got
 
 
 def test_empty_input():

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line surface via CliRunner."""
 
+import decimal
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carlitz
-from carlitz import exact, formulas, recurrences, words
+from carlitz import cli, exact, formulas, recurrences, words
 from carlitz.cli import METHODS, ROUTES, main, resolve
+from carlitz.exact import EXACT
 
 DATA = Path(__file__).parent / "data"
 
@@ -189,16 +192,17 @@ def test_unindexable_n_exits_2(runner, tmp_path, args):
     assert_clean_exit(r)
 
 
-#: The child runs the CLI with its address space capped at 256 MB, so an
-#: allocation past that fails in the child, soon and without touching the
-#: host's memory.
+#: The child runs the CLI with its address space capped (256 MB unless
+#: the test says otherwise), so an allocation past that fails in the
+#: child, soon and without touching the host's memory.
 CAPPED_CHILD = """
 import resource, sys
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
-cap = 1 << 28 if hard == resource.RLIM_INFINITY else min(hard, 1 << 28)
+cap = int(sys.argv[1])
+cap = cap if hard == resource.RLIM_INFINITY else min(hard, cap)
 resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 from carlitz.cli import main
-main(sys.argv[1:])
+main(sys.argv[2:])
 """
 
 
@@ -206,9 +210,9 @@ main(sys.argv[1:])
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(carlitz.__file__).parents[1]))
 
 
-def run_capped(*args):
-    return subprocess.run([sys.executable, "-c", CAPPED_CHILD, *map(str, args)],
-                          capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+def run_capped(*args, cap=1 << 28, timeout=60):
+    return subprocess.run([sys.executable, "-c", CAPPED_CHILD, str(cap), *map(str, args)],
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=timeout)
 
 
 @pytest.mark.parametrize("args,stderr", [
@@ -268,6 +272,30 @@ def test_oeis_check_streams_in_bounded_memory(runner, tmp_path):
     bfile = tmp_path / "b.txt"
     bfile.write_text(f"0 1\n30000 {value}\n", encoding="utf-8")
     r = run_capped("oeis-check", bfile, "--k", 2, "--ordered")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "2/2 match\n", "")
+
+
+#: A cap the ordered runs below meet with room to spare.
+SMALL_CAP = 64 << 20
+
+
+def test_unordered_count_keeps_no_factorial_table(runner):
+    # a_2(20000) = 20000! * a'_2(20000); the conversion takes one 20000!,
+    # not a cache of every m! up to it (about 325 MB).
+    expected = run(runner, "count", "--k", 2, "--n", 20000)
+    assert expected.exit_code == 0
+    r = run_capped("count", "--k", 2, "--n", 20000, cap=SMALL_CAP)
+    assert (r.returncode, r.stdout, r.stderr) == (0, expected.stdout, "")
+
+
+def test_unordered_oeis_check_converts_only_compared_values(runner, tmp_path):
+    # Only n = 0 and n = 15000 are compared, so only they are scaled by n!;
+    # the n in between cost one step of the engine and of the running n!.
+    # (Scaling every n took 55 s here.)
+    value = run(runner, "count", "--k", 2, "--n", 15000).output.strip()
+    bfile = tmp_path / "b.txt"
+    bfile.write_text(f"0 1\n15000 {value}\n", encoding="utf-8")
+    r = run_capped("oeis-check", bfile, "--k", 2, cap=SMALL_CAP, timeout=30)
     assert (r.returncode, r.stdout, r.stderr) == (0, "2/2 match\n", "")
 
 
@@ -724,3 +752,92 @@ class TestOeisCheck:
     def test_missing_file_exits_2(self, runner, tmp_path):
         assert run(runner, "oeis-check", tmp_path / "absent.txt",
                    "--k", 2).exit_code == 2
+
+
+class TestExactDecimal:
+    """`table` and `oeis-check` compute the recurrence route in Decimal
+    under EXACT; every output must equal what int arithmetic prints."""
+
+    @staticmethod
+    def outcome(r):
+        return r.exit_code, r.stdout, r.stderr
+
+    def int_reference(self, runner, monkeypatch, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_unit", lambda route: 1)
+            return self.outcome(run(runner, *args))
+
+    @pytest.mark.parametrize("method", ("auto",) + METHODS)
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_table_matches_int_reference(self, runner, monkeypatch, k, method):
+        for ordered in (False, True):
+            for fmt in ("text", "csv", "json"):
+                args = ["table", "--k", k, "--n-max", 40, "--method", method, "--format", fmt]
+                args += ["--ordered"] if ordered else []
+                assert self.outcome(run(runner, *args)) == self.int_reference(runner, monkeypatch, *args)
+
+    @pytest.mark.parametrize("method", ("auto",) + METHODS)
+    @pytest.mark.parametrize("name", ["b114938.txt", "b278990.txt", "b193638.txt", "b190826.txt"])
+    def test_oeis_check_matches_int_reference(self, runner, monkeypatch, name, method):
+        for k in (2, 3, 4):
+            for ordered in (False, True):
+                for offset in (0, 1):
+                    args = ["oeis-check", DATA / name, "--k", k, "--method", method, "--offset", offset]
+                    args += ["--ordered"] if ordered else []
+                    assert self.outcome(run(runner, *args)) == self.int_reference(runner, monkeypatch, *args)
+
+    def test_values_past_4300_digits_match_int_reference(self, runner, monkeypatch, tmp_path):
+        with decimal.localcontext(EXACT):  # no int of 4300 digits or more prints here
+            values = recurrences.prime_stream(3, 800, Decimal(1))
+            lines = [f"{n} {v + (n == 777)}\n" for n, v in enumerate(values)]
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("".join(lines))
+        for args in (("table", "--k", 2, "--n-max", 1500),
+                     ("table", "--k", 4, "--n-max", 600, "--ordered", "--format", "csv"),
+                     ("oeis-check", bfile, "--k", 3, "--ordered")):
+            assert self.outcome(run(runner, *args)) == self.int_reference(runner, monkeypatch, *args)
+
+    @pytest.mark.parametrize("ordered, values, report", [
+        (False, "1 -0 007 30", "3/4 match; first mismatch at index 2: file has 7, computed 2\n"),
+        (False, "1 0 -0 30", "3/4 match; first mismatch at index 2: file has 0, computed 2\n"),
+        (False, "1 -00 2 -030", "3/4 match; first mismatch at index 3: file has -30, computed 30\n"),
+        (True, "001 -0 1 -5", "3/4 match; first mismatch at index 3: file has -5, computed 5\n"),
+    ])
+    def test_mismatch_line_prints_file_values_as_integers(self, runner, monkeypatch, tmp_path,
+                                                          ordered, values, report):
+        # Decimal("-0") would print "-0" and int("-0") prints "0".
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("".join(f"{n} {v}\n" for n, v in enumerate(values.split())))
+        args = ["oeis-check", bfile, "--k", 2] + (["--ordered"] if ordered else [])
+        assert self.outcome(run(runner, *args)) == (1, report, "")
+        assert self.int_reference(runner, monkeypatch, *args) == (1, report, "")
+
+    def test_ambient_context_is_neither_used_nor_changed(self, runner, monkeypatch):
+        with decimal.localcontext() as ambient:
+            ambient.prec = 5
+            before = repr(ambient)
+            for args in (("table", "--k", 2, "--n-max", 60),
+                         ("table", "--k", 3, "--n-max", 60, "--ordered", "--format", "json"),
+                         ("oeis-check", DATA / "b193638.txt", "--k", 3)):
+                r = run(runner, *args)
+                assert repr(decimal.getcontext()) == before
+                assert self.outcome(r) == self.int_reference(runner, monkeypatch, *args)
+            assert decimal.getcontext() is ambient
+
+    def test_importing_the_cli_does_not_import_decimal(self):
+        # It would add a few ms to the start of every command.
+        code = "import sys, carlitz.cli; assert 'decimal' not in sys.modules, sorted(sys.modules)"
+        subprocess.run([sys.executable, "-c", code], env=CHILD_ENV, check=True, timeout=60)
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_values_are_plain_decimal_integers(self, k, ordered):
+        # No signed zero (it would print "-0") and no exponent (it would
+        # print as 1E+3).
+        route = resolve(k, ordered, "auto")
+        with cli._exact_decimal():
+            values = list(cli._values(route, k, 300, ordered, 24, cli._unit(route)))
+        assert values == list(cli._values(route, k, 300, ordered, 24))
+        for v in values:
+            assert isinstance(v, Decimal)
+            assert (v.as_tuple().sign, v.as_tuple().exponent) == (0, 0)

@@ -1,6 +1,8 @@
 """Tests for the exact-arithmetic building blocks."""
 
+import decimal
 import threading
+from decimal import Decimal, localcontext
 from itertools import zip_longest
 from math import comb
 from math import factorial as math_factorial
@@ -9,11 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from carlitz import exact
 from carlitz.exact import (
+    EXACT,
+    FACTORIAL_CACHE_SIZE,
     InexactDivisionError,
     compositions,
     exact_div,
     factorial,
+    factorials,
     multinomial,
     phi,
     poly_mul,
@@ -35,6 +41,38 @@ def test_exact_div_rejects_remainder():
         exact_div(7, 2)
 
 
+def test_exact_div_on_decimals_under_exact():
+    with localcontext(EXACT):
+        assert exact_div(Decimal(-12), 4) == -3
+        big = Decimal(3) ** 20000  # 9543 digits, past any default precision
+        assert int(exact_div(big * 7, 7)) == 3**20000
+        with pytest.raises(InexactDivisionError):
+            exact_div(big, 2)
+
+
+# True division is not among them: at EXACT's precision even 1 / 3 asks
+# for more memory than there is, so the package divides only by exact_div.
+@pytest.mark.parametrize("operation", [
+    lambda: Decimal("1.5").to_integral_exact(),
+    lambda: Decimal("1.25").quantize(Decimal("0.1")),
+    lambda: Decimal(5) // 0,
+    lambda: Decimal("Infinity") - Decimal("Infinity"),
+    lambda: Decimal("1E+999999999999999999") * 10,
+], ids=["inexact", "rounded", "zero", "invalid", "overflow"])
+def test_exact_context_traps_every_rounding(operation):
+    with localcontext(EXACT), pytest.raises(decimal.DecimalException):
+        operation()
+
+
+def test_exact_context_keeps_integers_exact():
+    with localcontext(EXACT):
+        value = Decimal(1)
+        for m in range(1, 3001):
+            value *= m
+        assert value.as_tuple().exponent == 0
+        assert int(value) == math_factorial(3000)
+
+
 def test_factorial_known_values():
     assert factorial(0) == 1
     assert factorial(1) == 1
@@ -49,6 +87,32 @@ def test_factorial_recurrence():
 def test_factorial_rejects_negative():
     with pytest.raises(ValueError):
         factorial(-1)
+
+
+def test_factorial_cache_is_bounded(monkeypatch):
+    # Past the bound a factorial comes from math.factorial and is not kept,
+    # so one large n leaves no table of every smaller m! behind.
+    monkeypatch.setattr(exact, "_fact_cache", [1])
+    n = 3 * FACTORIAL_CACHE_SIZE
+    assert factorial(n) == math_factorial(n)
+    assert exact._fact_cache == [1]
+    assert factorial(FACTORIAL_CACHE_SIZE - 1) == math_factorial(FACTORIAL_CACHE_SIZE - 1)
+    assert len(exact._fact_cache) == FACTORIAL_CACHE_SIZE
+    assert factorial(FACTORIAL_CACHE_SIZE) == math_factorial(FACTORIAL_CACHE_SIZE)
+    assert len(exact._fact_cache) == FACTORIAL_CACHE_SIZE
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 7, FACTORIAL_CACHE_SIZE + 10])
+def test_factorials_is_a_running_product(monkeypatch, n_max):
+    monkeypatch.setattr(exact, "_fact_cache", [1])
+    table = factorials(n_max)
+    assert len(table) == n_max + 1
+    assert table[0] == 1
+    assert all(table[m] == m * table[m - 1] for m in range(1, n_max + 1))
+    assert table[-1] == math_factorial(n_max)
+    assert exact._fact_cache == [1]
+    with pytest.raises(ValueError):
+        factorials(-1)
 
 
 def test_factorial_cache_thread_safety():

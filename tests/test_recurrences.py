@@ -2,13 +2,14 @@
 identities, heterogeneous oracle agreement, and fault injection on the
 checked divisions."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
 from carlitz import recurrences
-from carlitz.exact import InexactDivisionError, exact_div, factorial
+from carlitz.exact import EXACT, InexactDivisionError, exact_div, factorial
 from carlitz.formulas import (
     a2_inclusion_exclusion,
     a3_inclusion_exclusion,
@@ -156,27 +157,41 @@ def test_large_single_value_runs_iteratively():
     assert value > 0
 
 
-def test_a2_rejects_flipped_coefficient(monkeypatch):
-    # The three-term step has no division of its own; written over 2 as
-    # p_{n+1} = ((4n+2) p_n + 2 p_{n-1}) / 2, (4n+2) -> (4n+3) makes the
-    # halving inexact, and the stepping loop must let that error through.
-    def broken(n, p_prev, p):
-        p_next = exact_div((4 * n + 3) * p + 2 * p_prev, 2)
-        return (p_next,), (p, p_next)
+# The three-term step has no division of its own; written over 2 as
+# p_{n+1} = ((4n+2) p_n + 2 p_{n-1}) / 2, (4n+2) -> (4n+3) makes the
+# halving inexact, and the stepping loop must let that error through.
+def _flipped_a2_step(n, p_prev, p):
+    p_next = exact_div((4 * n + 3) * p + 2 * p_prev, 2)
+    return (p_next,), (p, p_next)
 
-    monkeypatch.setattr(recurrences, "_a2_step", broken)
+
+# (3n+3) -> (3n+2) in the p-update makes the halving inexact.
+def _flipped_coupled3_step(n, p_prev, p, q_prev):
+    q = (3 * n + 2) * p + 2 * q_prev
+    p_next = exact_div((3 * n + 2) * q - 2 * (3 * n + 1) * p + 2 * p_prev, 2)
+    return (p, q), (p, p_next, q)
+
+
+# (16n+6) -> (16n+7) makes the q halving inexact.
+def _flipped_coupled4_step(n, p_prev, p, q_prev, r_prev):
+    r = (4 * n + 3) * p + 3 * q_prev
+    q = exact_div((4 * n + 6) * r + 6 * r_prev - (16 * n + 7) * p, 2)
+    p_next = exact_div(
+        (4 * n + 1) * q
+        + 3 * (10 * q_prev - r + 4 * r_prev + (6 * n + 7) * p + p_prev),
+        3,
+    )
+    return (p, q, r), (p, p_next, q, r)
+
+
+def test_a2_rejects_flipped_coefficient(monkeypatch):
+    monkeypatch.setattr(recurrences, "_a2_step", _flipped_a2_step)
     with pytest.raises(InexactDivisionError):
         prime(2, 10)
 
 
 def test_coupled3_rejects_flipped_coefficient(monkeypatch):
-    # (3n+3) -> (3n+2) in the p-update makes the halving inexact.
-    def broken(n, p_prev, p, q_prev):
-        q = (3 * n + 2) * p + 2 * q_prev
-        p_next = exact_div((3 * n + 2) * q - 2 * (3 * n + 1) * p + 2 * p_prev, 2)
-        return (p, q), (p, p_next, q)
-
-    monkeypatch.setattr(recurrences, "_coupled3_step", broken)
+    monkeypatch.setattr(recurrences, "_coupled3_step", _flipped_coupled3_step)
     with pytest.raises(InexactDivisionError):
         state(3, 10)
 
@@ -198,18 +213,7 @@ def test_fourterm_rejects_flipped_coefficient(monkeypatch):
 
 
 def test_coupled4_rejects_flipped_coefficient(monkeypatch):
-    # (16n+6) -> (16n+7) makes the q halving inexact.
-    def broken(n, p_prev, p, q_prev, r_prev):
-        r = (4 * n + 3) * p + 3 * q_prev
-        q = exact_div((4 * n + 6) * r + 6 * r_prev - (16 * n + 7) * p, 2)
-        p_next = exact_div(
-            (4 * n + 1) * q
-            + 3 * (10 * q_prev - r + 4 * r_prev + (6 * n + 7) * p + p_prev),
-            3,
-        )
-        return (p, q, r), (p, p_next, q, r)
-
-    monkeypatch.setattr(recurrences, "_coupled4_step", broken)
+    monkeypatch.setattr(recurrences, "_coupled4_step", _flipped_coupled4_step)
     monkeypatch.setattr(recurrences, "_oracle_checked", {"k=4 coupled"})
     with pytest.raises(InexactDivisionError):
         state(4, 10)
@@ -317,3 +321,47 @@ def test_oracle_runs_once_per_engine(monkeypatch, entry_points, width):
     for call in entry_points:
         call(40)
         assert len(calls) == 4 * width
+
+
+def _negative_a2_step(n, p_prev, p):
+    return (-5,), (p, -5)
+
+
+def _negative_coupled3_step(n, p_prev, p, q_prev):
+    q = (3 * n + 2) * p + 2 * q_prev
+    return (p, q), (p, -5, q)
+
+
+def _negative_coupled4_step(n, p_prev, p, q_prev, r_prev):
+    return (p, q_prev, -5), (p, 1, q_prev, r_prev)
+
+
+@pytest.mark.parametrize("seam, step, k, error, match", [
+    ("_a2_step", _flipped_a2_step, 2, InexactDivisionError, "not divisible"),
+    ("_coupled3_step", _flipped_coupled3_step, 3, InexactDivisionError, "not divisible"),
+    ("_coupled4_step", _flipped_coupled4_step, 4, InexactDivisionError, "not divisible"),
+    ("_a2_step", _wrong_a2_step, 2, SelfCheckError, "word oracle"),
+    ("_coupled3_step", _wrong_coupled3_step, 3, SelfCheckError, "word oracle"),
+    ("_coupled4_step", _wrong_coupled4_step, 4, SelfCheckError, "word oracle"),
+    ("_a2_step", _negative_a2_step, 2, SelfCheckError, "negative count"),
+    ("_coupled3_step", _negative_coupled3_step, 3, SelfCheckError, "negative count"),
+    ("_coupled4_step", _negative_coupled4_step, 4, SelfCheckError, "negative count"),
+], ids=[f"{kind}-k{k}" for kind in ("flipped", "wrong", "negative") for k in (2, 3, 4)])
+def test_planted_mutations_raise_in_exact_decimal(monkeypatch, seam, step, k, error, match):
+    monkeypatch.setattr(recurrences, seam, step)
+    monkeypatch.setattr(recurrences, "_oracle_checked", set())
+    with localcontext(EXACT), pytest.raises(error, match=match):
+        list(prime_stream(k, 10, Decimal(1)))
+
+
+@pytest.mark.parametrize("key", [2, 3, 4, "four-term"])
+def test_decimal_engine_emits_the_int_counts_as_plain_integers(key):
+    # Every count of every state (p, q and r), not only p: no signed zero
+    # (it would print "-0") and no exponent (it would print as 1E+3).
+    with localcontext(EXACT):
+        counts = list(recurrences._upto(recurrences._engine(key, Decimal(1)), 400))
+    assert counts == list(recurrences._upto(recurrences._engine(key), 400))
+    for state_counts in counts:
+        for c in state_counts:
+            assert isinstance(c, Decimal)
+            assert (c.as_tuple().sign, c.as_tuple().exponent) == (0, 0)
