@@ -199,6 +199,12 @@ class _Main(click.Group):
     a reader that closes stdout, in place of click's exit 1."""
 
     def invoke(self, ctx: click.Context):
+        # Counts outgrow the interpreter's default int/str conversion limit
+        # (4300 digits); every value must still print and parse in full.
+        # The caller's limit comes back when the command returns.
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         try:
             return super().invoke(ctx)
         except KeyboardInterrupt:
@@ -208,6 +214,9 @@ class _Main(click.Group):
             # Point stdout at devnull so the flush at exit cannot fail again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             sys.exit(141)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
 
 
 @click.group(cls=_Main)
@@ -215,10 +224,6 @@ def main():
     """Count Carlitz words (no two adjacent symbols equal) over k copies
     each of n symbols, by brute force, inclusion-exclusion, factorial
     substitution, or recurrence, with exact arithmetic throughout."""
-    # Counts outgrow the interpreter's default int/str conversion limit
-    # (4300 digits); every value must still print and parse in full.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
 
 
 @main.command()

@@ -1,4 +1,5 @@
-"""Exact arithmetic building blocks: factorials (cached up to a bound),
+"""Exact arithmetic building blocks: factorials (one n! is
+math.factorial, which keeps nothing; factorials() tabulates 0!..n!),
 multinomials, weak compositions, and dense integer polynomials with the
 factorial substitution t^m -> m!.
 
@@ -20,9 +21,8 @@ checks every remainder.
 
 from __future__ import annotations
 
-import math
-import threading
 from itertools import accumulate
+from math import factorial
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -69,34 +69,9 @@ def exact_div(a: int, b: int) -> int:
     return q
 
 
-# Factorial cache of 0!..m! for m below FACTORIAL_CACHE_SIZE.  Grows
-# monotonically; append-only under a lock, so a concurrent reader either
-# sees a complete entry or misses and takes the lock itself.  Never
-# shrinks.  Bounded, because every m! up to a large n would take about
-# n^2 log2(n) / 2 bits (hundreds of MB at n = 20000).
-FACTORIAL_CACHE_SIZE = 4096
-_fact_cache: list[int] = [1]
-_fact_lock = threading.Lock()
-
-
-def factorial(n: int) -> int:
-    """n!: from a shared monotone cache below FACTORIAL_CACHE_SIZE, O(1)
-    after the first computation; past it from math.factorial, uncached."""
-    if n < 0:
-        raise ValueError(f"factorial of negative {n}")
-    if n < len(_fact_cache):
-        return _fact_cache[n]
-    if n >= FACTORIAL_CACHE_SIZE:
-        return math.factorial(n)
-    with _fact_lock:
-        while len(_fact_cache) <= n:
-            _fact_cache.append(_fact_cache[-1] * len(_fact_cache))
-    return _fact_cache[n]
-
-
 def factorials(n_max: int) -> list[int]:
-    """[0!, 1!, ..., n_max!] by a running product, O(1) each.  The shared
-    cache is not touched, so a large n_max leaves nothing behind."""
+    """[0!, 1!, ..., n_max!] by a running product, O(1) each, for callers
+    that look up many factorials; one n! is math.factorial(n)."""
     if n_max < 0:
         raise ValueError(f"factorial of negative {n_max}")
     return list(accumulate(range(1, n_max + 1), mul, initial=1))

@@ -5,7 +5,8 @@ over the blocking patterns in PATTERNS (how many blocks each symbol's
 copies are glued into) gives one signed term.  Three entry points serve
 them: terms(k, n), for k = 2, 3, 4, computes each term on its own;
 inclusion_exclusion_range(k, n_max), for k = 1..4, serves every n up to
-n_max from one tabulation of the last four rows' sums; and
+n_max from one tabulation over all the rows, whose step fuses the rows
+of equal block count into at most k terms; and
 inclusion_exclusion(k, n), for k = 1..4, gives one a_k(n) (a_1(n) = n!),
 for k = 2, 3 by walking from one term to the next and for k = 4, whose
 five rows make that walk O(n^4) terms, from the range's tabulation.
@@ -143,18 +144,14 @@ def inclusion_exclusion(k: int, n: int) -> int:
 def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
     """[a_k(0), ..., a_k(n_max)] by the k sum, for k = 1..4, all n at once.
 
-    A composition splits into outer parts c (every row but the last four;
-    S symbols, B blocks; k=4's 4-block row, none for k = 2, 3) and the
-    tabulated rows (b_i, d_i, s_i), the last four (all of them for k = 2,
-    3), which share the T = n - S other symbols.  Scaled by D^T, with D
-    the lcm of their divisors, their sum over every split of the T symbols
-    is H(T, B), where the row of the first of the T symbols gives
+    Scaled by D^T, with D the lcm of the divisors, the terms of the rows
+    (b_i, d_i, s_i) over every split of T symbols sum to H(T, 0), where
+    the row of the first of the T symbols gives
         H(0, L) = L!,  H(T, L) = sum over i of s_i * (D / d_i) * H(T-1, L + b_i).
-    Rows with the same block count share one coefficient in that step.
-    The table is built one T at a time, each level only as wide as the
-    later levels and the outer blocks need, and every outer composition adds
-        C(n, T) * sign * multinomial(S; c) * H(T, B) / (prod d^c * D^T)
-    to n = S + T with one checked division.
+    Rows with the same block count share one coefficient in that step, so
+    it has at most k terms.  The table is built one T at a time, each
+    level only as wide as the later levels need, and a_k(T) is
+    H(T, 0) / D^T with one checked division.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -163,43 +160,23 @@ def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
     if k == 1:
         return factorials(n_max)
     rows = PATTERNS[k]
-    outer, tabulated = rows[:-4], rows[-4:]
-    scale = lcm(*(div for _, div, _ in tabulated))
+    scale = lcm(*(div for _, div, _ in rows))
     step: dict[int, int] = {}  # blocks -> summed scaled coefficient
-    for blocks, div, sign in tabulated:
+    for blocks, div, sign in rows:
         step[blocks] = step.get(blocks, 0) + sign * exact_div(scale, div)
     (b0, c0), *steps = step.items()
-    width = max(blocks for blocks, _, _ in rows)
-    out = [0] * (n_max + 1)
-
-    def walk(part: int, term: int, den: int, length: int, placed: int) -> None:
-        # term = C(placed, T) * sign * multinomial(placed - T; c so far),
-        # length = B so far, and h[length] = H(T, B).
-        if part == len(outer):
-            out[placed] += exact_div(term * h[length], den)
-            return
-        blocks, div, sign = outer[part]
-        moved = 0
-        while True:
-            walk(part + 1, term, den, length, placed)
-            if placed == n_max:
-                return
-            moved += 1
-            placed += 1
-            term = exact_div(term * sign * placed, moved)
-            den *= div
-            length += blocks
-
+    out = [1] * (n_max + 1)  # first, so a huge n_max fails before h fills memory
+    width = max(step)
     h = factorials(width * n_max)
-    for T in range(n_max + 1):
-        if T:  # h[L] becomes H(T, L), one list pass per block count (none for a leading 1)
-            g = h[b0 : b0 + width * (n_max - T) + 1]
-            if c0 != 1:
-                g = [c0 * x for x in g]
-            for b, c in steps:
-                g = [y + c * x for y, x in zip(g, h[b:])]
-            h = g
-        walk(0, 1, scale**T, 0, T)
+    for T in range(1, n_max + 1):
+        # h[L] becomes H(T, L), one list pass per block count (none for a leading 1)
+        g = h[b0 : b0 + width * (n_max - T) + 1]
+        if c0 != 1:
+            g = [c0 * x for x in g]
+        for b, c in steps:
+            g = [y + c * x for y, x in zip(g, h[b:])]
+        h = g
+        out[T] = exact_div(h[0], scale**T)
     return out
 
 

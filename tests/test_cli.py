@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carlitz
-from carlitz import cli, exact, formulas, recurrences, words
+from carlitz import cli, formulas, recurrences, words
 from carlitz.cli import METHODS, ROUTES, main, resolve
 from carlitz.exact import EXACT
 
@@ -224,8 +224,8 @@ def run_capped(*args, cap=1 << 28, timeout=60):
     # The inclusion-exclusion range tabulates up to the last index at once.
     (("oeis-check", "BFILE", "--k", 2, "--method", "incl-excl"),
      f"out of memory: incl-excl for k=2 up to n={10**12}\n"),
-    # The first term, s = n, runs out filling the factorial cache on its
-    # way to n! for its multinomial.
+    # The first term, s = n, runs out filling its table of factorials on
+    # the way to (2n)!.
     (("count", "--k", 2, "--n", 10**12, "--trace"),
      f"out of memory: incl-excl for k=2 up to n={10**12}\n"),
 ], ids=["table-incl-excl", "count-phi", "oeis-check", "count-trace"])
@@ -496,6 +496,28 @@ class TestCount:
         assert r.exit_code == 0, r.output
         assert len(r.output.strip()) == 8679
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int/str digit limit in this interpreter")
+    @pytest.mark.parametrize("args,code", [
+        (("count", "--k", 2, "--n", 1500), 0),
+        (("count", "--k", 3, "--n", 2, "--method", "phi"), 2),
+        (("count", "--k", 3, "--n", 9, "--method", "brute"), 3),
+    ], ids=["ok", "usage", "refused"])
+    def test_restores_the_int_str_digit_limit(self, runner, args, code):
+        # The command lifts the interpreter-wide limit only while it runs,
+        # so an in-process caller keeps its own afterwards.  A known limit
+        # is set first, so a command run earlier cannot have changed it.
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            r = run(runner, *args)
+            assert r.exit_code == code, r.output
+            if code == 0:
+                assert len(r.output.strip()) == 8679
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
+
     def test_auto_resolution_for_large_k(self, runner):
         # No formula or recurrence at k=5: auto falls back to brute.
         assert run(runner, "count", "--k", 5, "--n", 2).output == "2\n"
@@ -554,13 +576,12 @@ class TestTable:
                    "--method", "brute").exit_code == 3
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_unordered_stream_keeps_no_factorial_table(self, runner, monkeypatch, k):
-        # The ordered engine's values are scaled by a running n!, so the
-        # table holds one engine window, not every m! up to n_max.
-        monkeypatch.setattr(exact, "_fact_cache", [1])
+    def test_unordered_stream_keeps_no_factorial_table(self, runner, k):
+        # The ordered engine's values are scaled by a running n!, not by
+        # a table of every m! up to n_max (test_unordered_count_keeps_no_
+        # factorial_table guards the memory); the values stay the sum's.
         r = run(runner, "table", "--k", k, "--n-max", 200)
         assert r.exit_code == 0
-        assert exact._fact_cache == [1]
         assert r.output.splitlines()[-1] == f"200  {formulas.inclusion_exclusion_range(k, 200)[-1]}"
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

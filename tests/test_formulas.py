@@ -18,6 +18,7 @@ from carlitz.formulas import (
     phi_count_stream,
     upper_bound,
 )
+from carlitz.recurrences import prime_stream
 from carlitz.words import (
     MultiplicityVector,
     count_carlitz_by_filter,
@@ -88,9 +89,9 @@ def test_terms_rejects_bad_input_at_once(k, n):
 
 def test_wrong_pattern_divisor_raises(monkeypatch):
     # A divisor that does not divide its term must abort the term stream,
-    # the point sum and the range table rather than round: in the one
-    # outer row the range table walks, and in each of the four rows it
-    # tabulates, the 1-block row included.
+    # the point sum and the range table rather than round, in every row,
+    # the 1-block row included.  The range tabulates all five rows and
+    # makes one checked division per n, by the lcm of their divisors.
     rows = formulas.PATTERNS[4]
     for index, wrong in ((0, (4, 48, 1)), (1, (3, 4, -1)), (2, (2, 4, 1)), (3, (2, 4, 1)), (4, (1, 2, -1))):
         monkeypatch.setitem(formulas.PATTERNS, 4, rows[:index] + (wrong,) + rows[index + 1:])
@@ -100,6 +101,27 @@ def test_wrong_pattern_divisor_raises(monkeypatch):
             a4_inclusion_exclusion(1)
         with pytest.raises(InexactDivisionError):
             formulas.inclusion_exclusion_range(4, 1)
+
+
+@pytest.mark.parametrize("k,index,wrong", [
+    (2, 0, (2, 4, 1)), (2, 1, (1, 2, -1)),
+    (3, 0, (3, 12, 1)), (3, 1, (2, 3, -1)), (3, 2, (1, 2, 1)),
+])
+def test_wrong_pattern_row_raises_in_range(monkeypatch, k, index, wrong):
+    # The range's one division per n, by D^n, must reject each of these
+    # rows, the 1-block rows included, which the point walk never divides by.
+    rows = formulas.PATTERNS[k]
+    monkeypatch.setitem(formulas.PATTERNS, k, rows[:index] + (wrong,) + rows[index + 1:])
+    with pytest.raises(InexactDivisionError):
+        formulas.inclusion_exclusion_range(k, 5)
+
+
+def test_k4_range_matches_the_recurrence_to_200():
+    """The fused five-row step, far past the other k = 4 range checks."""
+    values = formulas.inclusion_exclusion_range(4, 200)
+    assert len(values) == 201
+    for n, (value, ordered) in enumerate(zip(values, prime_stream(4, 200))):
+        assert value == factorial(n) * ordered
 
 
 @pytest.mark.parametrize("k,n_max", [(2, 40), (3, 24), (4, 12)])
