@@ -2,14 +2,13 @@
 
 Inclusion-exclusion sums for k = 2, 3, 4: a composition of the n symbols
 over the blocking patterns in PATTERNS (how many blocks each symbol's
-copies are glued into) gives one signed term.  Three entry points serve
-them: terms(k, n), for k = 2, 3, 4, computes each term on its own;
-inclusion_exclusion_range(k, n_max), for k = 1..4, serves every n up to
-n_max from one tabulation over all the rows, whose step fuses the rows
-of equal block count into at most k terms; and
-inclusion_exclusion(k, n), for k = 1..4, gives one a_k(n) (a_1(n) = n!),
-for k = 2, 3 by walking from one term to the next and for k = 4, whose
-five rows make that walk O(n^4) terms, from the range's tabulation.
+copies are glued into) gives one signed term.  The rows of equal block
+count fuse into one step polynomial of at most k terms.  Three entry
+points serve the sums: terms(k, n), for k = 2, 3, 4, computes each term
+on its own; inclusion_exclusion_range(k, n_max), for k = 1..4, serves
+every n up to n_max from one tabulation of the step; and
+inclusion_exclusion(k, n), for k = 1..4, gives one a_k(n) (a_1(n) = n!)
+from the step's n-th power, in O(k^2 n) small steps.
 
 Independently, the factorial substitution phi (t^j -> j!) counts the
 Carlitz words over any multiset (m_1, ..., m_r) as phi(prod L_{m_i}(t)).
@@ -25,7 +24,7 @@ away.
 
 from __future__ import annotations
 
-from math import lcm, perm, prod
+from math import lcm, prod
 from typing import Iterable, Iterator, NamedTuple
 
 from .exact import compositions, exact_div, factorial, factorials, multinomial, phi, poly_mul
@@ -80,52 +79,60 @@ def terms(k: int, n: int) -> Iterator[Term]:
     return stream()
 
 
-def _pattern_sum(k: int, n: int) -> int:
-    """The sum of terms(k, n), each term reached from a neighbour.
+def _fused_step(k: int) -> tuple[list[int], int]:
+    """(c, D) for the rows of PATTERNS[k]: D is the lcm of their divisors
+    and c[b] the sum of sign * D / divisor over the rows with b blocks, so
+    the step polynomial sum of c_b t^b has at most k terms for any k."""
+    rows = PATTERNS[k]
+    scale = lcm(*(div for _, div, _ in rows))
+    c = [0] * (k + 1)
+    for blocks, div, sign in rows:
+        c[blocks] += sign * exact_div(scale, div)
+    return c, scale
 
-    The walk starts with all n symbols in the last part (term +-n!) and
-    moves them one at a time into earlier parts.  A move into a part of b
-    blocks multiplies the term by perm(length + b - 1, b - 1), then makes
-    one checked division by the divisor and one checked multinomial step.
+
+def _pattern_point(k: int, n: int) -> int:
+    """One a_k(n) from the fused step (c, D) alone, in O(k^2 n) small steps.
+
+    Scaled by D^n and grouped by length, the terms sum to [t^m] R^n *
+    (n+m)! over m, R = c/t; those weights are the coefficients q_i of
+    S^n, S = t^(k-1) R(1/t), read backwards.  As S (S^n)' = n S' S^n and
+    s_0 = c_k (1, as D = k!), each q_m follows from the k - 1 before it:
+        m s_0 q_m = sum over j = 1..k-1 of ((n+1) j - m) s_j q_(m-j).
+    A Horner sum takes each q_m at once, so only k - 1 are held; a_k(n)
+    is that sum over D^n, checked, times n!.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    rows = PATTERNS[k]
-    inner = len(rows) - 2
-
-    def walk(part: int, term: int, length: int, rest: int) -> int:
-        blocks, div, sign = rows[part]
-        sign *= rows[-1][2]
-        total = 0
-        for moved in range(rest + 1):
-            if moved:
-                term = exact_div(term * (sign * perm(length + blocks - 1, blocks - 1)), div)
-                term = exact_div(term * (rest - moved + 1), moved)
-                length += blocks - 1
-            total += term if part == inner else walk(part + 1, term, length, rest - moved)
-        return total
-
-    return walk(0, rows[-1][2] ** n * factorial(n), n, n)
+    c, scale = _fused_step(k)
+    lead, *tail = c[:0:-1]  # s_0, s_1, ..., s_(k-1)
+    grow = [(n + 1) * j * sj for j, sj in enumerate(tail, 1)]
+    window = [lead**n] + [0] * (k - 2)  # q_(m-1), ..., q_(m-k+1)
+    acc = window[0]
+    for m in range(1, (k - 1) * n + 1):
+        q = exact_div(sum([(g - m * sj) * x for g, sj, x in zip(grow, tail, window)]), m * lead)
+        window = [q, *window[:-1]]
+        acc = acc * (k * n - m + 1) + q
+    return exact_div(acc, scale**n) * factorial(n)
 
 
 def a2_inclusion_exclusion(n: int) -> int:
     """Number of Carlitz words over 2 copies each of n symbols.  Term at
     (s, t), s + t = n:  (-1)^t * C(n, s) * (2s+t)! / 2^s."""
-    return _pattern_sum(2, n)
+    return _pattern_point(2, n)
 
 
 def a3_inclusion_exclusion(n: int) -> int:
     """Number of Carlitz words over 3 copies each of n symbols.  Term at
     (s, t, u), s + t + u = n:  (-1)^t * multinomial(n; s,t,u) * (3s+2t+u)! / 6^s."""
-    return _pattern_sum(3, n)
+    return _pattern_point(3, n)
 
 
 def a4_inclusion_exclusion(n: int) -> int:
     """Number of Carlitz words over 4 copies each of n symbols.  Term at
     (s, t, u, v, w), s + t + u + v + w = n:  (-1)^(t+w) * multinomial(n; s,t,u,v,w)
-    * (4s+3t+2u+2v+w)! / (24^s * 2^(v+t)).  Read off the range's tabulation,
-    which beats the five-row walk at every n past the smallest."""
-    return inclusion_exclusion_range(4, n)[n]
+    * (4s+3t+2u+2v+w)! / (24^s * 2^(v+t))."""
+    return _pattern_point(4, n)
 
 
 def inclusion_exclusion(k: int, n: int) -> int:
@@ -144,14 +151,12 @@ def inclusion_exclusion(k: int, n: int) -> int:
 def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
     """[a_k(0), ..., a_k(n_max)] by the k sum, for k = 1..4, all n at once.
 
-    Scaled by D^T, with D the lcm of the divisors, the terms of the rows
-    (b_i, d_i, s_i) over every split of T symbols sum to H(T, 0), where
-    the row of the first of the T symbols gives
-        H(0, L) = L!,  H(T, L) = sum over i of s_i * (D / d_i) * H(T-1, L + b_i).
-    Rows with the same block count share one coefficient in that step, so
-    it has at most k terms.  The table is built one T at a time, each
-    level only as wide as the later levels need, and a_k(T) is
-    H(T, 0) / D^T with one checked division.
+    With (c, D) the fused step, the terms over every split of T symbols,
+    scaled by D^T, sum to H(T, 0), where the row of the first symbol gives
+        H(0, L) = L!,  H(T, L) = sum over b of c_b * H(T-1, L + b).
+    The table is built one T at a time, each level only as wide as the
+    later levels need, and a_k(T) is H(T, 0) / D^T with one checked
+    division.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -159,22 +164,16 @@ def inclusion_exclusion_range(k: int, n_max: int) -> list[int]:
         raise ValueError(f"incl-excl supports k=1..4 only, not k={k}")
     if k == 1:
         return factorials(n_max)
-    rows = PATTERNS[k]
-    scale = lcm(*(div for _, div, _ in rows))
-    step: dict[int, int] = {}  # blocks -> summed scaled coefficient
-    for blocks, div, sign in rows:
-        step[blocks] = step.get(blocks, 0) + sign * exact_div(scale, div)
-    (b0, c0), *steps = step.items()
+    c, scale = _fused_step(k)
     out = [1] * (n_max + 1)  # first, so a huge n_max fails before h fills memory
-    width = max(step)
-    h = factorials(width * n_max)
+    h = factorials(k * n_max)
     for T in range(1, n_max + 1):
         # h[L] becomes H(T, L), one list pass per block count (none for a leading 1)
-        g = h[b0 : b0 + width * (n_max - T) + 1]
-        if c0 != 1:
-            g = [c0 * x for x in g]
-        for b, c in steps:
-            g = [y + c * x for y, x in zip(g, h[b:])]
+        g = h[k : k + k * (n_max - T) + 1]
+        if c[k] != 1:
+            g = [c[k] * x for x in g]
+        for b in range(k - 1, 0, -1):
+            g = [y + c[b] * x for y, x in zip(g, h[b:])]
         h = g
         out[T] = exact_div(h[0], scale**T)
     return out

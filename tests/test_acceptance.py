@@ -191,8 +191,10 @@ def test_criterion_5_divisibility_and_fault_injection(capsys, monkeypatch):
     """Every promised-exact division succeeds; flipped coefficients fail
     loudly."""
     with criterion(capsys, 5, "divisibility and fault injection", 60.0):
-        # Per-term divisions in the sums (each term construction is a
-        # checked division) and the ordered-count divisibility by n!.
+        # Per-term divisions in the term streams (each term construction
+        # is a checked division), the point's checked division at every
+        # coefficient of the step's n-th power and by D^n, and the
+        # ordered-count divisibility by n!.
         @given(st.integers(0, 60))
         @settings(max_examples=25, deadline=None)
         def check_sum_terms(n):

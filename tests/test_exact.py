@@ -1,7 +1,6 @@
 """Tests for the exact-arithmetic building blocks."""
 
 import decimal
-import threading
 from decimal import Decimal, localcontext
 from itertools import zip_longest
 from math import comb
@@ -96,24 +95,6 @@ def test_factorials_is_a_running_product(n_max):
     assert table[-1] == math_factorial(n_max)
     with pytest.raises(ValueError):
         factorials(-1)
-
-
-def test_factorial_cache_thread_safety():
-    # Several threads at overlapping arguments must all see the same values.
-    results = []
-
-    def worker(n0):
-        acc = [factorial(n0 + i) for i in range(200)]
-        results.append((n0, acc))
-
-    threads = [threading.Thread(target=worker, args=(300 + 7 * j,)) for j in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for n0, acc in results:
-        for i, v in enumerate(acc):
-            assert v == factorial(n0 + i)
 
 
 def test_multinomial_known_values():

@@ -18,7 +18,7 @@ from carlitz.formulas import (
     phi_count_stream,
     upper_bound,
 )
-from carlitz.recurrences import prime_stream
+from carlitz.recurrences import prime, prime_stream
 from carlitz.words import (
     MultiplicityVector,
     count_carlitz_by_filter,
@@ -74,7 +74,7 @@ def test_a3_term_trace_n3():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_terms_match_fast_sum(k):
-    """The independent-term stream and the incremental sum agree."""
+    """The independent-term stream and the one-n point agree."""
     for n in range({2: 41, 3: 21, 4: 9}[k]):
         assert sum(t.value for t in formulas.terms(k, n)) == formulas.inclusion_exclusion(k, n)
 
@@ -109,11 +109,14 @@ def test_wrong_pattern_divisor_raises(monkeypatch):
 ])
 def test_wrong_pattern_row_raises_in_range(monkeypatch, k, index, wrong):
     # The range's one division per n, by D^n, must reject each of these
-    # rows, the 1-block rows included, which the point walk never divides by.
+    # rows, the 1-block rows included; so must the point, which reads
+    # the same fused step, at a single n.
     rows = formulas.PATTERNS[k]
     monkeypatch.setitem(formulas.PATTERNS, k, rows[:index] + (wrong,) + rows[index + 1:])
     with pytest.raises(InexactDivisionError):
         formulas.inclusion_exclusion_range(k, 5)
+    with pytest.raises(InexactDivisionError):
+        formulas.inclusion_exclusion(k, 1)
 
 
 def test_k4_range_matches_the_recurrence_to_200():
@@ -134,10 +137,16 @@ def test_range_matches_term_streams(k, n_max):
 
 @pytest.mark.parametrize("k,n_max", [(1, 60), (2, 60), (3, 40), (4, 16)])
 def test_range_matches_point_sums(k, n_max):
-    """The range table and the point walk agree at every n.  The k = 4
-    point is read off the range, so k = 4 is compared with the walk itself."""
-    point = partial(formulas._pattern_sum if k == 4 else formulas.inclusion_exclusion, k)
-    assert formulas.inclusion_exclusion_range(k, n_max) == [point(n) for n in range(n_max + 1)]
+    """The range table and the one-n point agree at every n."""
+    assert formulas.inclusion_exclusion_range(k, n_max) == [
+        formulas.inclusion_exclusion(k, n) for n in range(n_max + 1)
+    ]
+
+
+@pytest.mark.parametrize("k,n", [(2, 3000), (3, 1000), (4, 1000)])
+def test_point_matches_the_recurrence_far_out(k, n):
+    """One deep n from the step's n-th power, against the recurrence route."""
+    assert formulas.inclusion_exclusion(k, n) == factorial(n) * prime(k, n)
 
 
 @pytest.mark.parametrize("k,n_max", [(2, 150), (3, 80), (4, 40)])
