@@ -1,7 +1,7 @@
 """Exact arithmetic building blocks: factorials (one n! is
 math.factorial, which keeps nothing; factorials() tabulates 0!..n!),
 multinomials, weak compositions, and dense integer polynomials with the
-factorial substitution t^m -> m!.
+factorial substitution t^m -> m!, also of a product of powers (phi_power).
 
 Everything here is mathematically exact.  Integers are Python ints
 (arbitrary precision), polynomials are lists of them, and every
@@ -21,10 +21,10 @@ checks every remainder.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import factorial
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def __getattr__(name: str):
@@ -136,3 +136,33 @@ def phi(p: Sequence[int]) -> int:
     for m in range(len(p) - 1, 0, -1):
         acc = (acc + p[m]) * m
     return acc + p[0] if p else 0
+
+
+def phi_power(factors: Iterable[tuple[Sequence[int], int]]) -> int:
+    """phi(prod of base**e) / V! over the (base, e) in factors, t**V the
+    power of t dividing the product; each base's top coefficient is nonzero.
+
+    With each base t^v R, R(0) != 0, and r R's coefficients reversed,
+    F = prod r^e, s = prod r and h = sum of e r' s / r satisfy s F' = h F
+    (J. C. P. Miller's power recurrence; Knuth, TAOCP Vol. 2, 4.7), so
+        m s_0 q_m = sum over j = 1..w of (h_(j-1) + (j - m) s_j) q_(m-j),
+    w = deg s, gives F's coefficients q_m in turn, one checked division
+    each.  A Horner sum weighs q_m by (top - m)!/V!, top the product's
+    degree, as it comes, so only w are held: O(w deg F) small steps.
+    """
+    s, h, q, deg, top = [1], [0], 1, 0, 0
+    for base, e in factors:
+        r = base[next(i for i, x in enumerate(base) if x):][::-1]
+        dr = [j * x for j, x in enumerate(r)][1:]
+        h = [a + e * b for a, b in zip_longest(poly_mul(h, r), poly_mul(dr, s), fillvalue=0)]
+        s = poly_mul(s, r)
+        q, deg, top = q * r[0] ** e, deg + (len(r) - 1) * e, top + (len(base) - 1) * e
+    lead, *tail = s
+    grow = [hj + j * sj for j, (hj, sj) in enumerate(zip(h, tail), 1)]
+    window = [q] + [0] * (len(tail) - 1)  # q_(m-1), ..., q_(m-w)
+    acc = q
+    for m in range(1, deg + 1):
+        q = exact_div(sum([(g - m * sj) * x for g, sj, x in zip(grow, tail, window)]), m * lead)
+        window = [q, *window[:-1]]
+        acc = acc * (top - m + 1) + q
+    return acc

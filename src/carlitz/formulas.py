@@ -8,26 +8,26 @@ points serve the sums: terms(k, n), for k = 2, 3, 4, computes each term
 on its own; inclusion_exclusion_range(k, n_max), for k = 1..4, serves
 every n up to n_max from one tabulation of the step; and
 inclusion_exclusion(k, n), for k = 1..4, gives one a_k(n) (a_1(n) = n!)
-from the step's n-th power, in O(k^2 n) small steps.
+from exact.phi_power of the step's n-th power, in O(k^2 n) small steps.
 
 Independently, the factorial substitution phi (t^j -> j!) counts the
-Carlitz words over any multiset (m_1, ..., m_r) as phi(prod L_{m_i}(t)).
-Each factor is scaled by m_i! to integer coefficients, so the whole
-route is integer polynomial products and one checked division by
-prod m_i!.
+Carlitz words over any multiset (m_1, ..., m_r) as phi(prod L_{m_i}(t)),
+each factor scaled by m_i! to integer coefficients and divided out once,
+checked, at the end.  phi_count takes phi of the product by the same
+phi_power, phi_count_stream by one integer polynomial product per n.
 
-Every division the identities promise to be exact is checked via
-exact_div and raises InexactDivisionError on any remainder; a failure
-here means a formula coefficient is wrong, and must never be rounded
-away.
+Every division the identities promise to be exact is checked by
+exact_div, which raises InexactDivisionError on a remainder: a wrong
+formula coefficient must never be rounded away.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import lcm, prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .exact import compositions, exact_div, factorial, factorials, multinomial, phi, poly_mul
+from .exact import compositions, exact_div, factorial, factorials, multinomial, phi, phi_power, poly_mul
 
 
 class Term(NamedTuple):
@@ -92,28 +92,12 @@ def _fused_step(k: int) -> tuple[list[int], int]:
 
 
 def _pattern_point(k: int, n: int) -> int:
-    """One a_k(n) from the fused step (c, D) alone, in O(k^2 n) small steps.
-
-    Scaled by D^n and grouped by length, the terms sum to [t^m] R^n *
-    (n+m)! over m, R = c/t; those weights are the coefficients q_i of
-    S^n, S = t^(k-1) R(1/t), read backwards.  As S (S^n)' = n S' S^n and
-    s_0 = c_k (1, as D = k!), each q_m follows from the k - 1 before it:
-        m s_0 q_m = sum over j = 1..k-1 of ((n+1) j - m) s_j q_(m-j).
-    A Horner sum takes each q_m at once, so only k - 1 are held; a_k(n)
-    is that sum over D^n, checked, times n!.
-    """
+    """One a_k(n) from the fused step (c, D) alone: scaled by D^n and grouped
+    by length, the terms sum to phi(c^n), whose lowest term is at t^n."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     c, scale = _fused_step(k)
-    lead, *tail = c[:0:-1]  # s_0, s_1, ..., s_(k-1)
-    grow = [(n + 1) * j * sj for j, sj in enumerate(tail, 1)]
-    window = [lead**n] + [0] * (k - 2)  # q_(m-1), ..., q_(m-k+1)
-    acc = window[0]
-    for m in range(1, (k - 1) * n + 1):
-        q = exact_div(sum([(g - m * sj) * x for g, sj, x in zip(grow, tail, window)]), m * lead)
-        window = [q, *window[:-1]]
-        acc = acc * (k * n - m + 1) + q
-    return exact_div(acc, scale**n) * factorial(n)
+    return exact_div(phi_power([(c, n)]), scale**n) * factorial(n)
 
 
 def a2_inclusion_exclusion(n: int) -> int:
@@ -197,19 +181,14 @@ def phi_base(k: int) -> list[int]:
 
 
 def phi_count(mults: Iterable[int]) -> int:
-    """Carlitz words over the multiset with these multiplicities.
-
-    phi(prod of phi_base(m)) / prod of m!, with one checked division: a
-    remainder means a base coefficient is wrong.
-    """
-    poly, scale = [1], 1
-    bases: dict[int, list[int]] = {}  # phi_base(m), built once per distinct m
-    for m in mults:
-        if m not in bases:
-            bases[m] = phi_base(m)
-        poly = poly_mul(bases[m], poly)
-        scale *= factorial(m)
-    return exact_div(phi(poly), scale)
+    """Carlitz words over the multiset with these multiplicities: phi(prod
+    of phi_base(m)) / prod of m!, by one phi_power over the distinct m (each
+    base's lowest term is t^1, so V is the symbol count) and one checked
+    division: a remainder means a base coefficient is wrong."""
+    groups = Counter(mults)
+    power = phi_power([(phi_base(m), e) for m, e in groups.items()])
+    scale = prod(factorial(m) ** e for m, e in groups.items())
+    return exact_div(power * factorial(groups.total()), scale)
 
 
 def phi_count_stream(k: int, n_max: int) -> Iterator[int]:

@@ -29,7 +29,7 @@ else runs on int.
 Every division the recurrences promise to be exact (by 2, 3 and 2n) is
 checked; a remainder raises InexactDivisionError, because it would mean
 a recurrence coefficient is wrong.  The first time an engine runs in a
-process, every count in its states 0..3 is compared with the word oracle,
+process, every count in its states 0..5 is compared with the word oracle,
 which catches a wrong step that still divides exactly.  The stepping
 loop also asserts that every count it emits is nonnegative (intermediate
 combinations may dip below zero, emitted counts never legally can).
@@ -66,15 +66,15 @@ _oracle_checked: set[str] = set()  # engines that matched the oracle so far
 
 
 def _checked(name: str, k: int, counts: Iterator[tuple]) -> Iterator[tuple]:
-    """counts, its first four compared with the word oracle once per process.
+    """counts, its first six compared with the word oracle once per process.
 
     Each item is (p,), (p, q) or (p, q, r): the ordered Carlitz counts of
-    1^k..n^k, 0^(k-1),1^k..n^k and 0^(k-2),1^k..n^k (at most 15 letters).
+    1^k..n^k, 0^(k-1),1^k..n^k and 0^(k-2),1^k..n^k (at most 23 letters).
     The engine's own steps run first, so an inexact one raises before this.
     """
     if name in _oracle_checked:
         return counts
-    head = list(islice(counts, 4))
+    head = list(islice(counts, 6))
     zeros = ([], [k - 1], [k - 2])[: len(head[0])]  # copies of 0 for p, q, r
     expected = [
         tuple(count_ordered_carlitz(MultiplicityVector(z + [k] * n)) for z in zeros)
@@ -82,7 +82,7 @@ def _checked(name: str, k: int, counts: Iterator[tuple]) -> Iterator[tuple]:
     ]
     if head != expected:
         raise SelfCheckError(
-            f"{name} disagrees with the word oracle on states 0..3: "
+            f"{name} disagrees with the word oracle on states 0..5: "
             f"recurrence {head}, oracle {expected}"
         )
     _oracle_checked.add(name)

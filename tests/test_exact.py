@@ -19,6 +19,7 @@ from carlitz.exact import (
     factorials,
     multinomial,
     phi,
+    phi_power,
     poly_mul,
 )
 
@@ -197,6 +198,27 @@ def test_phi_matches_the_factorial_sum(p, zeros):
     """Horner's rule gives the defining sum of c_m * m!, trailing zeros included."""
     p = p + [0] * zeros
     assert phi(p) == sum(c * math_factorial(m) for m, c in enumerate(p))
+
+
+@st.composite
+def power_factors(draw):
+    """Up to three (base, e), e = 0..5, each base t^v times a polynomial
+    with nonzero ends."""
+    body = st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(lambda b: b[0] and b[-1])
+    return [([0] * draw(st.integers(0, 2)) + draw(body), draw(st.integers(0, 5)))
+            for _ in range(draw(st.integers(0, 3)))]
+
+
+@given(power_factors())
+@example([])
+@example([([0, -24, 36, -12, 1], 3)])
+@settings(max_examples=200)
+def test_phi_power_is_phi_of_the_product_over_the_lowest_factorial(factors):
+    product = [1]
+    for base, e in factors:
+        product = poly_mul(product, power(base, e))
+    lowest = next(v for v, c in enumerate(product) if c)
+    assert phi_power(factors) * math_factorial(lowest) == phi(product)
 
 
 @given(small_polys, small_polys)

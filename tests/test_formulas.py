@@ -4,7 +4,7 @@ phi route, and agreement with the word oracle."""
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carlitz import formulas
@@ -156,11 +156,15 @@ def test_range_matches_phi(k, n_max):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_patterns_sum_to_laguerre_base(k):
-    """k! * sum of sign * t^blocks / divisor over the rows is k! * L_k(t)."""
+    """k! * sum of sign * t^blocks / divisor over the rows is k! * L_k(t).
+
+    The incl-excl point and the phi route run one kernel and differ only
+    in where the step comes from, the rows or phi_base; this pins that."""
     coeffs = [0] * (k + 1)
     for blocks, divisor, sign in formulas.PATTERNS[k]:
         coeffs[blocks] += sign * exact_div(factorial(k), divisor)
     assert coeffs == phi_base(k)
+    assert formulas._fused_step(k) == (phi_base(k), factorial(k))
 
 
 def test_a4_term_compositions_cover_everything():
@@ -193,6 +197,12 @@ def test_phi_route_reproduces_each_k():
 def test_a4_phi_matches_sum():
     for n in range(26):
         assert phi_count((4,) * n) == a4_inclusion_exclusion(n)
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_deep_phi_matches_the_recurrence(n):
+    """The phi point far out, against a route that shares no step with it."""
+    assert phi_count((4,) * n) == factorial(n) * prime(4, n)
 
 
 def test_a4_phi_range_is_incremental_and_consistent():
@@ -233,6 +243,7 @@ def multiplicity_vectors(draw):
 
 
 @given(multiplicity_vectors())
+@example([1] * 3 + [2] * 4 + [5] * 2)  # three repeated multiplicities, 21 letters
 @settings(max_examples=100, deadline=None)
 def test_phi_count_matches_oracles_on_heterogeneous_multisets(mults):
     """phi on a non-uniform multiset equals the DP, and the naive filter

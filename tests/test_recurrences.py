@@ -9,11 +9,12 @@ from functools import partial
 import pytest
 
 from carlitz import recurrences
-from carlitz.exact import EXACT, InexactDivisionError, exact_div, factorial
+from carlitz.exact import EXACT, InexactDivisionError, exact_div, factorial, phi_power
 from carlitz.formulas import (
     a2_inclusion_exclusion,
     a3_inclusion_exclusion,
     a4_inclusion_exclusion,
+    phi_base,
 )
 from carlitz.recurrences import (
     SelfCheckError,
@@ -150,6 +151,26 @@ def test_every_state_matches_oracle_at_large_n():
         assert s.r == oracle(MultiplicityVector.prefixed(2, 4, s.n))
 
 
+def phi_state(k, zeros, n):
+    """Ordered count of 0^zeros, 1^k, ..., n^k by the phi kernel, which
+    shares no step with the engines: phi(P'_zeros P_k^n) / n! over
+    zeros! (k!)^n, where P_c = phi_base(c) and P' is its derivative."""
+    derivative = [j * x for j, x in enumerate(phi_base(zeros))][1:]
+    power = phi_power([(derivative, 1), (phi_base(k), n)])
+    return exact_div(power, factorial(zeros) * factorial(k) ** n)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_every_state_matches_the_phi_kernel_at_large_n(k):
+    """q (and r at k = 4) as deep as the recurrences are used, far past
+    the word oracle's reach."""
+    held = states(k, 2000)
+    for n in (0, 1, 5, 100, 500, 1000, 2000):
+        assert held[n].q == phi_state(k, k - 1, n)
+        if k == 4:
+            assert held[n].r == phi_state(k, 2, n)
+
+
 def test_large_single_value_runs_iteratively():
     # Far beyond any recursion limit; also windowed, so this is cheap.
     value = prime(2, 3000)
@@ -267,12 +288,13 @@ def _wrong_coupled3_step(n, p_prev, p, q_prev):
     return (p, q), (p, p_next, q)
 
 
+# Divides exactly through state 5: a'_3(3..5) become 32, 1899, 180320.
 def _wrong_fourterm_step(n, p_back2, p_back1, p):
     num = (
         (9 * n**3 + 9 * n**2 + 8 * n + 4) * p
         + (12 * n**2 + 6 * n - 8) * p_back1
         - (4 * n + 4) * p_back2
-        + 2 * n * p
+        + 2 * n * (p_back1 + 2 * p_back2 + 1)
     )
     p_next = exact_div(num, 2 * n)
     return (p_next,), (p_back1, p, p_next)
@@ -292,7 +314,7 @@ def test_every_engine_catches_exactly_dividing_wrong_step(
     monkeypatch, seam, wrong, call
 ):
     # Each wrong step keeps every division exact, so only the comparison
-    # of states 0..3 with the word oracle can notice it.
+    # of states 0..5 with the word oracle can notice it.
     monkeypatch.setattr(recurrences, seam, wrong)
     monkeypatch.setattr(recurrences, "_oracle_checked", set())
     with pytest.raises(SelfCheckError, match="word oracle"):
@@ -308,7 +330,7 @@ def test_every_engine_catches_exactly_dividing_wrong_step(
 )
 def test_oracle_runs_once_per_engine(monkeypatch, entry_points, width):
     # Every entry point of one engine shares its single oracle comparison
-    # of states 0..3, one oracle call per count in each state.
+    # of states 0..5, one oracle call per count in each state.
     calls = []
     real = recurrences.count_ordered_carlitz
 
@@ -320,7 +342,33 @@ def test_oracle_runs_once_per_engine(monkeypatch, entry_points, width):
     monkeypatch.setattr(recurrences, "_oracle_checked", set())
     for call in entry_points:
         call(40)
-        assert len(calls) == 4 * width
+        assert len(calls) == 6 * width
+
+
+def _coupled4_step_with(q_back, r_back):
+    """_coupled4_step with 10 * q_prev and 4 * r_prev in p_next replaced."""
+    def step(n, p_prev, p, q_prev, r_prev):
+        r = (4 * n + 3) * p + 3 * q_prev
+        q = exact_div((4 * n + 6) * r + 6 * r_prev - (16 * n + 6) * p, 2)
+        p_next = exact_div(
+            (4 * n + 1) * q
+            + 3 * (q_back * q_prev - r + r_back * r_prev + (6 * n + 7) * p + p_prev),
+            3,
+        )
+        return (p, q, r), (p, p_next, q, r)
+
+    return step
+
+
+@pytest.mark.parametrize("q_back, r_back", [(9, 4), (11, 4), (10, 3), (10, 5)])
+def test_oracle_catches_single_coefficient_k4_mutants(monkeypatch, q_back, r_back):
+    # Each divides exactly and matches the oracle on states 0..3 (prime(4, 10)
+    # would print 156535706357526837543308263 at q_back = 9, not
+    # 156690501089429126239232946); states 4 and 5 tell them apart.
+    monkeypatch.setattr(recurrences, "_coupled4_step", _coupled4_step_with(q_back, r_back))
+    monkeypatch.setattr(recurrences, "_oracle_checked", set())
+    with pytest.raises(SelfCheckError, match="word oracle"):
+        prime(4, 10)
 
 
 def _negative_a2_step(n, p_prev, p):
